@@ -13,7 +13,7 @@
    every tolerance at once: the @obs-check alias passes [--slack 2] so
    the gate stays stable on shared runners.  Scheduling-dependent
    [pool.*] counters are skipped by Obs_compare in both documents, so
-   the parallel entries (greedy-parallel) gate on their deterministic
+   the parallel entries (dk11-parallel) gate on their deterministic
    algorithm counters but never on steal order or jobs count.
 
    [--check-heartbeat] is the second gate mode: it validates an

@@ -486,51 +486,6 @@ let e11 () =
   note "matching E4's finding that the size ratio to Algorithm 1 is ~1."
 
 (* ------------------------------------------------------------------ *)
-(* E12: batched greedy - the conclusion's parallelization question      *)
-
-let e12 () =
-  banner "E12 (Conclusion) - batched greedy: size cost of parallel decisions";
-  let rng = Rng.create ~seed in
-  let g = Generators.connected_gnp rng ~n:150 ~p:0.2 in
-  let m = Graph.m g in
-  row "  graph: gnp n=150 p=.2 (m=%d), k=2 f=1, VFT" m;
-  row "  %10s %8s %10s %12s" "batch" "rounds" "|H|" "vs batch=1";
-  let base = ref 0 in
-  List.iter
-    (fun batch ->
-      let res = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch g in
-      let size = res.Batch_greedy.selection.Selection.size in
-      if batch = 1 then base := size;
-      row "  %10d %8d %10d %12.2f" batch res.Batch_greedy.batches size
-        (float_of_int size /. float_of_int (max 1 !base)))
-    [ 1; 4; 16; 64; 256; m ];
-  note "batch=1 is Algorithm 3; batch=m decides every edge against the";
-  note "empty spanner and keeps the whole graph.  The curve quantifies the";
-  note "conclusion's remark that the greedy resists parallelization: each";
-  note "x4 of parallelism costs a modest, then catastrophic, size factor.";
-  subhead "multicore decision phase (OCaml domains, batch=512)";
-  let cores = Domain.recommended_domain_count () in
-  row "  this machine exposes %d core(s) (Domain.recommended_domain_count)" cores;
-  row "  %10s %10s %10s" "domains" "time" "speedup";
-  let g2 = Generators.connected_gnp rng ~n:300 ~p:0.2 in
-  let base_time = ref 0. in
-  List.iter
-    (fun domains ->
-      let _, dt =
-        time (fun () ->
-            Exec.Pool.with_pool ~domains (fun pool ->
-                Batch_greedy.build ~pool ~mode:Fault.VFT ~k:2 ~f:2 ~batch:512
-                  g2))
-      in
-      if domains = 1 then base_time := dt;
-      row "  %10d %8.3f s %10.2f" domains dt (!base_time /. dt))
-    [ 1; 2; 4 ];
-  note "the decision phase shares no mutable state across calls, so extra";
-  note "domains give real speedup exactly when the machine has extra cores;";
-  note "on a single-core container the table shows pure scheduling overhead.";
-  note "Output is identical at every domain count (checked by the tests)."
-
-(* ------------------------------------------------------------------ *)
 (* E13: streaming arrivals (order-free Theorem 8 put to work online)    *)
 
 let e13 () =
@@ -896,72 +851,8 @@ let congest_hotpath () =
     (fun he -> row "  hot: %s" (Format.asprintf "%a" Net.pp_hot_edge he))
     (Net.hot_edges ~top:5 lossy)
 
-let greedy_parallel () =
-  let jobs = Exec.default_jobs () in
-  banner
-    (Printf.sprintf
-       "greedy-parallel - batched greedy on a persistent Exec pool (jobs=%d)"
-       jobs);
-  let rng = Rng.create ~seed in
-  let g = Generators.connected_gnp rng ~n:150 ~p:0.1 in
-  Exec.Pool.with_pool ~domains:jobs @@ fun pool ->
-  let res, dt =
-    time (fun () ->
-        Batch_greedy.build ~pool ~mode:Fault.VFT ~k:2 ~f:2 ~batch:512 g)
-  in
-  let sel = res.Batch_greedy.selection in
-  let ok = verify_sampled ~trials:4 rng sel ~mode:Fault.VFT ~k:2 ~f:2 in
-  row "  |H| = %d/%d edges in %d batches, %.3f s, %s" sel.Selection.size
-    (Graph.m g) res.Batch_greedy.batches dt (verdict ok);
-  row
-    "  selection and lbc.*/batch_greedy.* counters are identical at every \
-     jobs count; only wall time and the pool.* scheduling series move"
-
-(* The shard gate of the decomposition-sharding PR: Theorem 11 run
-   natively — padded partition, per-cluster greedy on the pool, union —
-   must stay a valid spanner within the O(log n) size factor of the
-   sequential build, with the cluster/boundary counters pinned by the
-   baseline (they are seed-deterministic, unlike wall time). *)
-let shard_build () =
-  let jobs = Exec.default_jobs () in
-  banner
-    (Printf.sprintf
-       "shard-build - decomposition-sharded greedy vs sequential on \
-        G(200, 0.08) (jobs=%d)"
-       jobs);
-  let rng = Rng.create ~seed in
-  let g = Generators.connected_gnp rng ~n:200 ~p:0.08 in
-  let seq, seq_dt =
-    time (fun () -> Poly_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 g)
-  in
-  Exec.Pool.with_pool ~domains:jobs @@ fun pool ->
-  let res, dt =
-    time (fun () ->
-        Shard_build.build ~rng:(Rng.create ~seed) ~pool ~mode:Fault.VFT ~k:2
-          ~f:1 g)
-  in
-  let sel = res.Shard_build.selection in
-  let ok = verify_sampled ~trials:4 rng sel ~mode:Fault.VFT ~k:2 ~f:1 in
-  let inflation =
-    float_of_int sel.Selection.size /. float_of_int seq.Selection.size
-  in
-  let log2n = log (float_of_int (Graph.n g)) /. log 2. in
-  row "  sequential |H| = %d in %.3f s; sharded |H| = %d/%d in %.3f s"
-    seq.Selection.size seq_dt sel.Selection.size (Graph.m g) dt;
-  row "  %d clusters over %d partitions, %d boundary edges, coverage %.3f"
-    res.Shard_build.clusters
-    (Array.length res.Shard_build.partition.Shard_partition.partitions)
-    res.Shard_build.boundary_edges
-    (Shard_partition.coverage res.Shard_build.partition);
-  row "  size inflation %.2fx (log2 n = %.1f), valid spanner: %s" inflation
-    log2n
-    (verdict (ok && inflation <= log2n));
-  row
-    "  selection and shard.* counters are identical at every jobs count; \
-     only wall time and the pool.* scheduling series move"
-
-(* The other half of the same gate: DK11's independent iterations as
-   parallel_for work items over pre-split rng streams. *)
+(* DK11's independent iterations as parallel_for work items over
+   pre-split rng streams: the one build the pool speeds up. *)
 let dk11_parallel () =
   let jobs = Exec.default_jobs () in
   banner
@@ -1150,8 +1041,6 @@ let smoke =
     ("smoke-lbc", smoke_lbc);
     ("smoke-greedy", smoke_greedy);
     ("smoke-distributed", smoke_distributed);
-    ("greedy-parallel", greedy_parallel);
-    ("shard-build", shard_build);
     ("dk11-parallel", dk11_parallel);
     ("synchronizer-lossy", smoke_synchronizer_lossy);
     ("congest-hotpath", congest_hotpath);
@@ -1162,12 +1051,12 @@ let smoke =
   ]
 
 let all =
-  [ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; e16; e17 ]
+  [ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e13; e14; e15; e16; e17 ]
 
 let by_name =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
-    ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
+    ("e11", e11); ("e13", e13); ("e14", e14); ("e15", e15);
     ("e16", e16); ("e17", e17);
   ]

@@ -11,11 +11,12 @@
      dune exec bench/main.exe -- --trace t.json,sample=0.01,seed=7 e2
      dune exec bench/main.exe -- --metrics-stream hb.jsonl,ops=4096 e2
 
-   Experiment ids follow DESIGN.md's index (e1..e17); each regenerates the
-   table validating one of the paper's theorems, and EXPERIMENTS.md records
-   the paper-claim vs measured comparison.  With [--json] each job runs
-   against a freshly reset telemetry registry and its snapshot (wall time,
-   every counter/timer/histogram, span tree) becomes one report entry.
+   Experiment ids follow DESIGN.md's index (e1..e17; e12 was removed);
+   each regenerates the table validating one of the paper's theorems, and
+   EXPERIMENTS.md records the paper-claim vs measured comparison.  With
+   [--json] each job runs against a freshly reset telemetry registry and
+   its snapshot (wall time, every counter/timer/histogram, span tree)
+   becomes one report entry.
    With [--trace FILE[,chrome][,sample=S][,seed=N]] the whole run is
    event-traced (Obs_trace) — optionally head-sampled, keeping phase and
    fault events always — and the log written when the last job finishes.
@@ -73,8 +74,8 @@ let parse_args args =
     | Ok s -> stream := Some s
     | Error msg -> bad_usage "--metrics-stream: %s" msg
   in
-  (* Worker-domain count for the parallel experiments (greedy-parallel and
-     the E12 sweep read it back via [Exec.default_jobs]).  The default, 1,
+  (* Worker-domain count for the parallel experiments (dk11-parallel
+     reads it back via [Exec.default_jobs]).  The default, 1,
      keeps every job sequential so checked-in counters stay exact.  The
      flag grammar — parsing and error wording — is Cli_flags, shared with
      the ftspan subcommands. *)

@@ -83,13 +83,6 @@ let thorup_zwick_test =
     (Staged.stage (fun () ->
          ignore (Thorup_zwick.build (Rng.create ~seed) ~k:2 (Lazy.force graph_mid))))
 
-let batch_greedy_test =
-  Test.make ~name:"e12: batched greedy batch=32 (n=100)"
-    (Staged.stage (fun () ->
-         ignore
-           (Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:2 ~batch:32
-              (Lazy.force graph_small))))
-
 let tests =
   Test.make_grouped ~name:"ftspan"
     [
@@ -102,7 +95,6 @@ let tests =
       thorup_zwick_test;
       dk11_test;
       decomposition_test;
-      batch_greedy_test;
       verify_test;
     ]
 

@@ -42,7 +42,6 @@ let graph_arg =
    through Cli_flags, so every front end parses and errors identically. *)
 let backend_arg = Cli_flags.backend_arg
 let jobs_arg = Cli_flags.jobs_arg
-let shard_arg = Cli_flags.shard_arg
 let resolve_jobs = Cli_flags.resolve_jobs
 let with_jobs = Cli_flags.with_jobs
 let metrics_arg = Cli_flags.metrics_arg
@@ -192,17 +191,6 @@ let algo_arg =
   in
   Arg.(value & opt enum_conv Spanner.Greedy_poly & info [ "algo" ] ~docv:"ALGO" ~doc)
 
-let batch_arg =
-  let doc =
-    "Decision-batch size for the greedy: edges per block decided against \
-     the same frozen partial spanner.  $(b,--jobs) parallelism applies \
-     within a block, so batching trades spanner size for parallel \
-     speedup (experiment E12 quantifies the curve).  Defaults to 1 \
-     (fully sequential decisions) when $(b,--jobs) is 1, else 512.  \
-     Applies to greedy-poly only."
-  in
-  Arg.(value & opt (some int) None & info [ "batch" ] ~docv:"B" ~doc)
-
 let spanner_out_arg =
   let doc = "Write the selected edge ids (one per line) to this file." in
   Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
@@ -219,16 +207,10 @@ let save_selection sel file =
       List.iter (fun id -> output_string oc (string_of_int id ^ "\n")) (Selection.ids sel))
 
 let build_cmd =
-  let run seed k f mode algo jobs shard batch backend metrics trace stream file
-      out dot =
-    match (resolve_jobs jobs, batch) with
-    | Error _ as e, _ -> e
-    | _, Some b when b < 1 ->
-        Error (`Msg (Printf.sprintf "--batch must be >= 1 (got %d)" b))
-    | Ok jobs, batch ->
-    let batch =
-      match batch with Some b -> b | None -> if jobs > 1 then 512 else 1
-    in
+  let run seed k f mode algo jobs backend metrics trace stream file out dot =
+    match resolve_jobs jobs with
+    | Error _ as e -> e
+    | Ok jobs ->
     Result.map
       (fun g ->
         with_metrics metrics ~id:"build" @@ fun () ->
@@ -237,19 +219,13 @@ let build_cmd =
         with_jobs jobs @@ fun pool ->
         let rng = Rng.create ~seed in
         let params = { Spanner.k; f; mode } in
-        let options = Spanner.options ~batch ?pool ~shard () in
-        let clusters0 = Obs.Counter.value (Obs.counter "shard.clusters") in
-        let boundary0 = Obs.Counter.value (Obs.counter "shard.boundary_edges") in
+        let options = Spanner.options ?pool () in
         let t0 = Unix.gettimeofday () in
         let sel = Spanner.build ~rng ~algorithm:algo ~options params g in
         let dt = Unix.gettimeofday () -. t0 in
         let summary = Spanner.summarize ~algorithm:algo params sel in
         Printf.printf "%s\n" (Format.asprintf "%a" Spanner.pp_summary summary);
         Printf.printf "build time: %.3f s\n" dt;
-        if shard then
-          Printf.printf "shard: %d clusters, %d boundary edges kept\n"
-            (Obs.Counter.value (Obs.counter "shard.clusters") - clusters0)
-            (Obs.Counter.value (Obs.counter "shard.boundary_edges") - boundary0);
         Option.iter
           (fun file ->
             save_selection sel file;
@@ -271,7 +247,7 @@ let build_cmd =
     Term.(
       term_result
         (const run $ seed_arg $ k_arg $ f_arg $ mode_arg $ algo_arg $ jobs_arg
-       $ shard_arg $ batch_arg $ backend_arg $ metrics_arg $ trace_arg
+       $ backend_arg $ metrics_arg $ trace_arg
        $ stream_arg $ graph_arg $ spanner_out_arg $ dot_out_arg))
   in
   Cmd.v (Cmd.info "build" ~doc:"Construct a fault-tolerant spanner.") term

@@ -4,12 +4,12 @@ open Cmdliner
 
 let jobs_arg =
   let doc =
-    "Worker domains for the parallel sections (the batched greedy's \
-     decision phase under $(b,build), the fault batteries under \
-     $(b,verify), the query plane under $(b,dynamic)).  Defaults to 1 — \
-     fully sequential, so existing scripted runs are byte-identical — or \
-     to $(b,FTSPAN_JOBS) when that is set.  Results are deterministic: \
-     any jobs count produces the same output as 1."
+    "Worker domains for the parallel sections (the dk11 iterations \
+     under $(b,build), the fault batteries under $(b,verify), the query \
+     plane under $(b,dynamic)); the greedy builds are sequential.  \
+     Defaults to 1, or to $(b,FTSPAN_JOBS) when that is set.  The jobs \
+     count changes speed, never output: any count produces the same \
+     output as 1."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -32,19 +32,6 @@ let parse_jobs value =
 let with_jobs jobs f =
   if jobs = 1 then f None
   else Exec.Pool.with_pool ~domains:jobs (fun pool -> f (Some pool))
-
-(* ------------------------------ shard ------------------------------ *)
-
-let shard_arg =
-  let doc =
-    "Decomposition-sharded build (the paper's Theorem 11 run natively): \
-     sample an O(log n) padded partition, build each cluster's spanner \
-     on its own $(b,--jobs) pool worker, union the selections and keep \
-     the boundary edges.  Trades an O(log n) size factor for \
-     cluster-level parallelism; the selection is bit-identical at every \
-     $(b,--jobs) count and replays from $(b,--seed)."
-  in
-  Arg.(value & flag & info [ "shard" ] ~doc)
 
 (* ----------------------------- backend ----------------------------- *)
 

@@ -36,13 +36,6 @@ val parse_jobs : string -> (int, string) result
     [jobs = 1] — sequential callers never pay pool startup. *)
 val with_jobs : int -> (Exec.Pool.t option -> 'a) -> 'a
 
-(** {1 Sharded build ([--shard])} *)
-
-(** [--shard]: route [ftspan build] through the decomposition-sharded
-    construction ({!Shard_build} for the greedy algorithms, the pooled
-    {!Dk11} path for dk11). *)
-val shard_arg : bool Cmdliner.Term.t
-
 (** {1 Storage backend ([--backend])} *)
 
 (** [--backend int|int32]: adjacency storage backend; [None] lets the

@@ -40,35 +40,29 @@ let build rng ~mode ~k ~f ?(c = 1.0) ?algo ?pool g =
   else begin
     let j = iterations ~c ~f ~n () in
     let p = 1. /. float_of_int (f + 1) in
-    match pool with
-    | None ->
-        (* The historical sequential path: every iteration draws from the
-           caller's stream in turn. *)
-        let union = Array.make (Graph.m g) false in
-        for _iter = 1 to j do
-          iterate rng ~mode ~p ~algo g union
-        done;
-        Selection.of_mask g union
+    (* Iterations are independent, so each gets a stream pre-split from
+       [rng] before any of them runs, and a worker ORs into its own mask.
+       The union of masks is the same edge set whichever worker ran which
+       iteration, so the selection is bit-identical with or without a
+       pool, at every pool size. *)
+    let streams = Array.init j (fun _ -> Rng.split rng) in
+    let run_iterations mask lo hi =
+      for iter = lo to hi - 1 do
+        iterate streams.(iter) ~mode ~p ~algo g mask
+      done
+    in
+    let union = Array.make (Graph.m g) false in
+    (match pool with
+    | None -> run_iterations union 0 j
     | Some pool ->
-        (* Parallel: iterations are independent, so each gets a stream
-           pre-split from [rng] (sequentially, before the fan-out) and a
-           worker ORs into its own mask.  The union of masks is the same
-           edge set whichever worker ran which iteration, so the
-           selection is bit-identical at every pool size — though not to
-           the unpooled path, whose iterations share one stream. *)
-        let streams = Array.init j (fun _ -> Rng.split rng) in
         let masks =
           Array.init (Exec.Pool.size pool) (fun _ ->
               Array.make (Graph.m g) false)
         in
         Exec.parallel_for ~chunk:1 pool ~lo:0 ~hi:j (fun ~worker lo hi ->
-            let mask = masks.(worker) in
-            for iter = lo to hi - 1 do
-              iterate streams.(iter) ~mode ~p ~algo g mask
-            done);
-        let union = Array.make (Graph.m g) false in
+            run_iterations masks.(worker) lo hi);
         Array.iter
           (Array.iteri (fun id b -> if b then union.(id) <- true))
-          masks;
-        Selection.of_mask g union
+          masks);
+    Selection.of_mask g union
   end

@@ -225,20 +225,28 @@ type acc = {
   mutable a_shed : int;
 }
 
+let set_kept t idx kept =
+  let e = t.edges.(idx) in
+  if e.kept <> kept then begin
+    e.kept <- kept;
+    t.kept_n <- (t.kept_n + if kept then 1 else -1)
+  end
+
+(* Re-decides the live non-spanner edges anchored in [region] against
+   the current spanner, re-admitting on YES; returns the re-admitted
+   edge indices. *)
 let recheck_region t acc region =
-  List.iter
+  List.filter
     (fun idx ->
       let e = t.edges.(idx) in
       acc.a_recheck <- acc.a_recheck + 1;
       Obs.Counter.incr m_rechecks;
       match decide t ~u:e.eu ~v:e.ev ~exclude:[] with
       | Lbc.Yes _ ->
-          e.kept <- true;
-          t.kept_n <- t.kept_n + 1;
+          set_kept t idx true;
           ignore (Graph.add_edge t.spanner e.eu e.ev ~w:e.ew);
-          acc.a_readd <- acc.a_readd + 1;
-          Obs.Counter.incr m_readded
-      | Lbc.No _ -> ())
+          true
+      | Lbc.No _ -> false)
     (candidates t region)
 
 (* Targeted repair after a group of deletions whose kept edges touched
@@ -261,7 +269,9 @@ let repair t acc ~seeds =
   t.spanner_dirty <- true;
   (* Add-only pass: re-admit candidates the lost edges may have been
      covering (first [decide] re-materializes the spanner). *)
-  recheck_region t acc region;
+  let readded = List.length (recheck_region t acc region) in
+  acc.a_readd <- acc.a_readd + readded;
+  Obs.Counter.add m_readded readded;
   if t.o.shed then begin
     refresh_spanner t;
     (* Shed probe, heaviest first: a NO on [H \ e] means the spanner
@@ -281,7 +291,7 @@ let repair t acc ~seeds =
       |> List.map snd
     in
     let excluded = ref [] in
-    let shed_seeds = ref [] in
+    let dropped = ref [] in
     List.iter
       (fun idx ->
         let e = t.edges.(idx) in
@@ -293,26 +303,40 @@ let repair t acc ~seeds =
                 t.spanner ~u:e.eu ~v:e.ev ~t:depth ~alpha:t.o.f
             with
             | Lbc.No _ ->
-                e.kept <- false;
-                t.kept_n <- t.kept_n - 1;
+                set_kept t idx false;
                 excluded := gid :: !excluded;
-                shed_seeds := e.eu :: e.ev :: !shed_seeds;
-                acc.a_shed <- acc.a_shed + 1;
-                Obs.Counter.incr m_shed_c
+                dropped := idx :: !dropped
             | Lbc.Yes _ -> ()))
       kept_anchored;
-    if !shed_seeds <> [] then begin
+    if !dropped <> [] then begin
       (* Shedding can invalidate NO verdicts of edges whose detours used
          a shed edge; those live within [depth] old-spanner hops of it.
          One final add-only re-check restores the invariant (adds never
          invalidate other verdicts, so this terminates). *)
-      let region2 = affected_region t ~seeds:!shed_seeds ~depth in
+      let seeds =
+        List.concat_map (fun idx -> [ t.edges.(idx).eu; t.edges.(idx).ev ])
+          !dropped
+      in
+      let region2 = affected_region t ~seeds ~depth in
       let touched2 = List.length region2 in
       acc.a_touched <- acc.a_touched + touched2;
       Obs.Counter.add m_touched touched2;
       Obs.Histogram.observe_int h_region touched2;
       t.spanner_dirty <- true;
-      recheck_region t acc region2
+      let readded2 = recheck_region t acc region2 in
+      let net = List.length !dropped - List.length readded2 in
+      if net <= 0 then begin
+        (* The pass is transactional: a re-check that re-admits as many
+           edges as were shed would leave H no smaller, so restore the
+           pre-shed kept set.  One shed pass never grows |H|. *)
+        List.iter (fun idx -> set_kept t idx false) readded2;
+        List.iter (fun idx -> set_kept t idx true) !dropped;
+        t.spanner_dirty <- true
+      end
+      else begin
+        acc.a_shed <- acc.a_shed + net;
+        Obs.Counter.add m_shed_c net
+      end
     end
   end
 

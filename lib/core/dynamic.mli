@@ -34,7 +34,12 @@
       [Lbc.decide ~exclude:e] — a NO means [H \ e] already spans the
       edge's endpoints [alpha+1] ways over, so [e] is redundant and is
       dropped (heaviest first, one pass, no cascade); a final add-only
-      re-check over the shed neighborhoods restores the invariant.
+      re-check over the shed neighborhoods restores the invariant.  The
+      pass is transactional: when that re-check re-admits at least as
+      many edges as were dropped, the pre-shed kept set is restored, so
+      one shed pass never grows [|H|].  Over a whole op history the
+      shed [H] can still end larger than the [H] of a handle without
+      the shed pass: the two histories diverge after the first shed.
 
     {2 Weights}
 
@@ -104,8 +109,10 @@ type stats = {
   deleted_vertices : int;
   touched_vertices : int;  (** repair-neighborhood vertices visited *)
   rechecked : int;  (** candidate edges re-decided during repair *)
-  readded : int;  (** candidates re-admitted on YES *)
-  shed : int;  (** spanner edges dropped as redundant *)
+  readded : int;  (** candidates the add-only repair re-admitted on YES *)
+  shed : int;
+      (** spanner edges the shed pass removed, net of its re-check's
+          re-admissions; never negative *)
   epoch : int;  (** handle epoch after this batch *)
 }
 

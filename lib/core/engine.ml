@@ -9,7 +9,7 @@ type decision = Keep of { cut : int list } | Skip
 
 type decider = Graph.t -> Graph.edge array -> decision array -> int -> int -> unit
 
-type result = { selection : Selection.t; batches : int; max_batch : int }
+type result = { selection : Selection.t }
 
 let ordered_edges ?(caller = "Engine") order g =
   let edges = Graph.edge_array g in
@@ -32,50 +32,32 @@ let ordered_edges ?(caller = "Engine") order g =
       Array.iteri (fun i id -> edges.(i) <- Graph.edge g id) perm);
   edges
 
-let run ?(order = By_weight) ?(caller = "Engine") ?span ?(batch = 1) ?on_batch
-    ?on_add ?(trace = true) ~decide g =
-  if batch < 1 then invalid_arg (caller ^ ": batch must be >= 1");
+let run ?(order = By_weight) ?(caller = "Engine") ?span ?on_add ?(trace = true)
+    ~decide g =
   let body () =
     let edges = ordered_edges ~caller order g in
-    let m = Array.length edges in
     let h = Graph.create (Graph.n g) in
     let selected = Array.make (Graph.m g) false in
-    let decisions = Array.make (max 1 m) Skip in
-    let batches = ref 0 and max_batch = ref 0 in
-    let pos = ref 0 in
-    while !pos < m do
-      let hi = min m (!pos + batch) in
-      incr batches;
-      if hi - !pos > !max_batch then max_batch := hi - !pos;
-      (match on_batch with Some fn -> fn !batches | None -> ());
-      (* Decision phase: the block is judged against the same frozen H. *)
-      Array.fill decisions !pos (hi - !pos) Skip;
-      decide h edges decisions !pos hi;
-      (* Commit phase. *)
-      let tracing = trace && Obs_trace.enabled () in
-      for i = !pos to hi - 1 do
-        let e = edges.(i) in
-        match decisions.(i) with
-        | Keep { cut } ->
-            if tracing then
-              Obs_trace.emit
-                (Obs_trace.Greedy_edge
-                   { edge = e.Graph.id; kept = true; weight = e.Graph.w });
+    let decisions = Array.make (max 1 (Array.length edges)) Skip in
+    let tracing = trace && Obs_trace.enabled () in
+    Array.iteri
+      (fun i e ->
+        (* Each decision sees every earlier commit. *)
+        decide h edges decisions i (i + 1);
+        let cut =
+          match decisions.(i) with Keep { cut } -> Some cut | Skip -> None
+        in
+        if tracing then
+          Obs_trace.emit
+            (Obs_trace.Greedy_edge
+               { edge = e.Graph.id; kept = cut <> None; weight = e.Graph.w });
+        Option.iter
+          (fun cut ->
             (match on_add with Some fn -> fn e cut | None -> ());
             ignore (Graph.add_edge h e.Graph.u e.Graph.v ~w:e.Graph.w);
-            selected.(e.Graph.id) <- true
-        | Skip ->
-            if tracing then
-              Obs_trace.emit
-                (Obs_trace.Greedy_edge
-                   { edge = e.Graph.id; kept = false; weight = e.Graph.w })
-      done;
-      pos := hi
-    done;
-    {
-      selection = Selection.of_mask g selected;
-      batches = !batches;
-      max_batch = !max_batch;
-    }
+            selected.(e.Graph.id) <- true)
+          cut)
+      edges;
+    { selection = Selection.of_mask g selected }
   in
   match span with Some name -> Obs.with_span name body | None -> body ()

@@ -1,27 +1,22 @@
 (** The unified greedy engine.
 
     Every greedy spanner construction in this library — {!Classic_greedy},
-    {!Poly_greedy}, {!Batch_greedy}, {!Exp_greedy} — is the same loop with
-    a different decision oracle: order the edges, judge each candidate
-    against the partial spanner [H], commit the accepted ones.  This
-    module owns that scaffolding (ordering, the decide→commit loop,
-    selection bookkeeping, per-edge trace emission) so the variants reduce
-    to their decision procedures and their own telemetry.
+    {!Poly_greedy}, {!Exp_greedy} — is the same loop with a different
+    decision oracle: order the edges, judge each candidate against the
+    partial spanner [H], commit the accepted ones.  This module owns that
+    scaffolding (ordering, the decide→commit loop, selection bookkeeping,
+    per-edge trace emission) so the variants reduce to their decision
+    procedures and their own telemetry.
 
-    The loop is batched: edges are decided in blocks of [batch] against a
-    {e frozen} [H], then the accepted block members are committed together
-    ([batch = 1] is the fully sequential greedy — each decision sees every
-    earlier commit).  The decider for a block may fan out over the
-    persistent domain pool via {!Exec.parallel_for}, as
-    [Batch_greedy.build ?pool] does; [H] is read-only during a decision
-    phase, so block decisions are data-race-free by construction, and
-    deciders that record verdicts by index inherit {!Exec}'s determinism
-    contract (bit-identical decisions at every domain count).
+    The loop is sequential: each edge is decided against [H] as it
+    stands after every earlier commit, which is the order the paper's
+    size and stretch guarantees (and the Bodwin–Patel yardstick) hold
+    for.
 
     The engine carries no counters of its own: each variant keeps its
     historical [Obs] series by incrementing them inside its decider /
-    [on_add] / [on_batch] hooks, which keeps metrics reports and the bench
-    regression gate comparable across the refactor. *)
+    [on_add] hooks, which keeps metrics reports and the bench regression
+    gate comparable across refactors. *)
 
 (** Edge processing order.  {!Poly_greedy.order} re-exports this type; see
     its documentation for which orders preserve which guarantees. *)
@@ -39,41 +34,33 @@ type decision = Keep of { cut : int list } | Skip
 
 type decider = Graph.t -> Graph.edge array -> decision array -> int -> int -> unit
 (** [decide h edges decisions lo hi] judges [edges.(lo..hi-1)] against the
-    frozen partial spanner [h], recording verdicts in
-    [decisions.(lo..hi-1)] (pre-filled with [Skip]).  [h] must not be
-    mutated; writes to disjoint index ranges may run concurrently. *)
+    partial spanner [h], recording verdicts in [decisions.(lo..hi-1)]
+    (pre-filled with [Skip]).  [h] must not be mutated.  {!run} always
+    passes a single edge, [hi = lo + 1]; the range shape lets a decider
+    be driven over a block by other loops. *)
 
-type result = {
-  selection : Selection.t;  (** the kept edges, over the source graph *)
-  batches : int;  (** decision blocks executed *)
-  max_batch : int;  (** largest block size *)
-}
+type result = { selection : Selection.t  (** the kept edges, over the source graph *) }
 
 (** [ordered_edges ?caller order g] is the edge array of [g] arranged per
     [order].  [Explicit] must be a permutation of the edge ids; violations
     raise [Invalid_argument] prefixed with [caller] (default ["Engine"]). *)
 val ordered_edges : ?caller:string -> order -> Graph.t -> Graph.edge array
 
-(** [run ?order ?caller ?span ?batch ?on_batch ?on_add ?trace ~decide g]
-    drives the greedy over [g]:
+(** [run ?order ?caller ?span ?on_add ?trace ~decide g] drives the
+    greedy over [g]:
 
     - [order] (default [By_weight]) fixes the processing order;
     - [span] (default none) wraps the whole build in {!Obs.with_span};
-    - [batch] (default [1]) is the decision block size;
-    - [on_batch i] runs before block [i] (1-based) is decided — variants
-      emit their phase markers and block counters here;
     - [on_add e cut] runs for each kept edge, before it enters [H];
     - [trace] (default [true]) emits an {!Obs_trace.Greedy_edge} event per
       decided edge while tracing is on.
 
-    Raises [Invalid_argument] (prefixed with [caller]) if [batch < 1] or
-    the order is an invalid explicit permutation. *)
+    Raises [Invalid_argument] (prefixed with [caller]) if the order is an
+    invalid explicit permutation. *)
 val run :
   ?order:order ->
   ?caller:string ->
   ?span:string ->
-  ?batch:int ->
-  ?on_batch:(int -> unit) ->
   ?on_add:(Graph.edge -> int list -> unit) ->
   ?trace:bool ->
   decide:decider ->

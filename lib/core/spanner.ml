@@ -17,60 +17,26 @@ type params = { k : int; f : int; mode : Fault.mode }
 
 let stretch p = float_of_int ((2 * p.k) - 1)
 
-type options = {
-  order : Engine.order option;
-  batch : int;
-  pool : Exec.Pool.t option;
-  shard : bool;
-}
+type options = { order : Engine.order option; pool : Exec.Pool.t option }
 
-let default_options = { order = None; batch = 1; pool = None; shard = false }
+let default_options = { order = None; pool = None }
 
-let options ?order ?(batch = 1) ?pool ?(shard = false) () =
-  if batch < 1 then invalid_arg "Spanner.options: batch must be >= 1";
-  { order; batch; pool; shard }
-
-let build_sharded rng ~options ~algorithm params g =
-  match algorithm with
-  | Greedy_poly | Greedy_exponential ->
-      let engine =
-        match algorithm with
-        | Greedy_exponential -> Shard_build.Exponential
-        | _ -> Shard_build.Polynomial
-      in
-      (Shard_build.build ~rng ~engine ?pool:options.pool ~mode:params.mode
-         ~k:params.k ~f:params.f g)
-        .Shard_build.selection
-  | Dinitz_krauthgamer | Baswana_sen_union -> (
-      (* Always the pooled (pre-split stream) path, so the selection is
-         the same whether --jobs handed us a pool or not. *)
-      let run pool =
-        Dk11.build rng ~mode:params.mode ~k:params.k ~f:params.f ~pool g
-      in
-      match options.pool with
-      | Some pool -> run pool
-      | None -> Exec.Pool.with_pool ~domains:1 run)
+let options ?order ?(batch = 1) ?pool () =
+  if batch <> 1 then invalid_arg "Spanner.options: batch must be 1";
+  { order; pool }
 
 let build ?rng ?(algorithm = Greedy_poly) ?(options = default_options) params g
     =
   let rng = match rng with Some r -> r | None -> Rng.create ~seed:0x5eed in
-  if options.shard then build_sharded rng ~options ~algorithm params g
-  else
-    match algorithm with
-    | Greedy_poly ->
-        if options.batch = 1 && options.pool = None then
-          (* The exact historical path (and its poly_greedy.* telemetry):
-             default options change nothing. *)
-          Poly_greedy.build ?order:options.order ~mode:params.mode ~k:params.k
-            ~f:params.f g
-        else
-          (Batch_greedy.build ?order:options.order ?pool:options.pool
-             ~mode:params.mode ~k:params.k ~f:params.f ~batch:options.batch g)
-            .Batch_greedy.selection
-    | Greedy_exponential ->
-        Exp_greedy.build ~mode:params.mode ~k:params.k ~f:params.f g
-    | Dinitz_krauthgamer | Baswana_sen_union ->
-        Dk11.build rng ~mode:params.mode ~k:params.k ~f:params.f g
+  match algorithm with
+  | Greedy_poly ->
+      Poly_greedy.build ?order:options.order ~mode:params.mode ~k:params.k
+        ~f:params.f g
+  | Greedy_exponential ->
+      Exp_greedy.build ~mode:params.mode ~k:params.k ~f:params.f g
+  | Dinitz_krauthgamer | Baswana_sen_union ->
+      Dk11.build rng ~mode:params.mode ~k:params.k ~f:params.f
+        ?pool:options.pool g
 
 type summary = {
   algorithm : string;

@@ -26,51 +26,30 @@ type params = {
 val stretch : params -> float
 
 (** Execution options, threaded through {!build} so every facade caller
-    (CLI, bench, examples) reaches the batched/parallel greedy without
-    dropping to {!Batch_greedy} directly.
+    (CLI, bench, examples) passes the same knobs.
 
     - [order]: edge processing order for the greedy family ([None] = the
       algorithm's default, nondecreasing weight);
-    - [batch]: decision block size ([1] = the fully sequential greedy);
-    - [pool]: a persistent {!Exec.Pool.t} the per-batch decision phase
-      fans out over.
+    - [pool]: a persistent {!Exec.Pool.t}.  [Dinitz_krauthgamer] and
+      [Baswana_sen_union] fan their independent iterations out over it;
+      the greedy algorithms are sequential and ignore it.
 
-    Without [shard], only [Greedy_poly] consumes [batch]/[pool]:
-    [batch > 1] or a [pool] routes the build through [Batch_greedy.build]
-    (whose selection is bit-identical at every domain count for a fixed
-    [batch], but grows with [batch] — the E12 trade-off); the defaults
-    reproduce the historical [Poly_greedy.build] path exactly, telemetry
-    included.  The randomized algorithms ignore the options.
+    The pool changes speed, never output: every algorithm returns the
+    same selection with or without a pool, at every pool size.
+    [Greedy_poly] is always the exact sequential greedy,
+    {!Poly_greedy.build}. *)
+type options = { order : Engine.order option; pool : Exec.Pool.t option }
 
-    [shard = true] selects the decomposition-sharded construction
-    instead (the paper's Theorem 11 run natively — an O(log n) size
-    factor for cluster-level parallelism): the greedy algorithms route
-    through {!Shard_build} (engine picked by [algorithm]), and
-    [Dinitz_krauthgamer]/[Baswana_sen_union] route through {!Dk11} with
-    its iterations fanned out as [parallel_for] items.  Either way the
-    selection is bit-identical at every [pool] size, including no pool
-    at all; [order]/[batch] are ignored under [shard]. *)
-type options = {
-  order : Engine.order option;
-  batch : int;
-  pool : Exec.Pool.t option;
-  shard : bool;
-}
-
-(** [default_options] is
-    [{order = None; batch = 1; pool = None; shard = false}] — the
-    sequential build. *)
+(** [default_options] is [{order = None; pool = None}] — the sequential
+    build. *)
 val default_options : options
 
-(** [options ?order ?batch ?pool ?shard ()] builds an options record from
-    the defaults.  Raises [Invalid_argument] if [batch < 1]. *)
+(** [options ?order ?batch ?pool ()] builds an options record from the
+    defaults.  [batch] is the greedy's decision block size; only [1],
+    the sequential greedy, exists, and any other value raises
+    [Invalid_argument]. *)
 val options :
-  ?order:Engine.order ->
-  ?batch:int ->
-  ?pool:Exec.Pool.t ->
-  ?shard:bool ->
-  unit ->
-  options
+  ?order:Engine.order -> ?batch:int -> ?pool:Exec.Pool.t -> unit -> options
 
 (** [build ?rng ?algorithm ?options params g] constructs an
     f-fault-tolerant (2k-1)-spanner of [g].  [rng] is required only by

@@ -39,7 +39,6 @@ let h_utilization = Obs.histogram "pool.utilization"
 
 module Pool = struct
   type t = {
-    id : int;
     size : int;
     mutex : Mutex.t;
     work : Condition.t;  (* helpers park here between regions *)
@@ -53,9 +52,7 @@ module Pool = struct
     busy_timers : Obs.Timer.t array;  (* pool.busy.N, N = worker index *)
   }
 
-  let next_id = Atomic.make 0
   let size t = t.size
-  let id t = t.id
 
   (* Helper [w] parks until the generation moves past the last region it
      ran, executes the published job, and checks back in.  The job
@@ -83,7 +80,6 @@ module Pool = struct
     if domains < 1 then invalid_arg "Exec.Pool.create: domains must be >= 1";
     let pool =
       {
-        id = Atomic.fetch_and_add next_id 1;
         size = domains;
         mutex = Mutex.create ();
         work = Condition.create ();

@@ -1,23 +1,23 @@
 (** Persistent domain-pool executor: the parallel substrate under every
     multicore code path in the library.
 
-    The paper's greedy spends its whole budget in per-edge [LBC(2k-1, f)]
-    calls whose costs vary wildly — a [Yes] can return after one BFS, a
-    [No] burns [alpha + 1] rounds — so static equal chunks leave domains
-    idle behind one expensive chunk, and spawning fresh domains per batch
-    (the old, since-removed [Batch_greedy.build_parallel]) pays domain
-    startup on every round.  This module fixes both: a {!Pool} is a set of worker domains
-    created {e once}, parked on a condition variable between regions, and
-    handed dynamically-chunked index ranges through one shared atomic
-    cursor, so uneven work load-balances by construction and steady-state
+    The parallel work items — {!Dk11} iterations, {!Verify} fault sets,
+    {!Dynamic.query_batch} queries — vary wildly in cost (a BFS that
+    finds its target at once vs. one that floods the graph), so static
+    equal chunks leave domains idle behind one expensive chunk, and
+    spawning fresh domains per region pays domain startup every time.
+    This module fixes both: a {!Pool} is a set of worker domains created
+    {e once}, parked on a condition variable between regions, and handed
+    dynamically-chunked index ranges through one shared atomic cursor,
+    so uneven work load-balances by construction and steady-state
     regions spawn nothing.
 
     {b Determinism contract.}  {!parallel_for} partitions [\[lo, hi)] into
     chunks and promises only {e that every index is passed to [body]
     exactly once} (in some order, on some worker).  Callers that write
     results {e by index} into pre-sized arrays — the way
-    {!Batch_greedy.build} records verdicts and {!Verify.stretch_many}
-    records stretches — therefore produce {e bit-identical} results
+    {!Verify.stretch_many} records stretches and {!Dynamic.query_batch}
+    records answers — therefore produce {e bit-identical} results
     regardless of the domain count, the chunk size, or which worker stole
     which range.  Do not fold results in completion order; index-addressed
     writes are the contract.
@@ -66,11 +66,6 @@ module Pool : sig
       (workspaces) binds to a fixed domain for the pool's lifetime. *)
   val size : t -> int
 
-  (** A process-unique id, stable for the pool's lifetime — the key
-      callers use to cache per-pool state ({!Batch_greedy} keeps its
-      per-worker LBC workspaces under it). *)
-  val id : t -> int
-
   (** [shutdown p] wakes every helper, waits for them to exit, and joins
       their domains.  Idempotent.  Must not be called while a region is
       running.  Submitting to a shut-down pool raises
@@ -118,8 +113,7 @@ module Worker_local : sig
   (** Lazily-initialized per-worker state for one pool: slot [w] is
       created on worker [w]'s first {!get} and then reused by that worker
       only, so access is race-free without locks.  This is how per-domain
-      scratch (an [Lbc.Workspace]) persists across batches and across
-      builds on the same pool. *)
+      scratch persists across regions on the same pool. *)
   type 'a t
 
   (** [create pool init] allocates one empty slot per pool worker;

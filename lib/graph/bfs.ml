@@ -118,10 +118,14 @@ let extract_path ws ~src ~dst =
     climb dst [] []
   end
 
-let default_ws = Workspace.create ()
+(* One per domain: callers on Exec pool workers (Dynamic.query_batch)
+   that pass no workspace must not share scratch arrays. *)
+let default_ws = Domain.DLS.new_key Workspace.create
 
 let hop_bounded_path ?ws ?blocked_vertices ?blocked_edges g ~src ~dst ~max_hops =
-  let ws = Option.value ws ~default:default_ws in
+  let ws =
+    match ws with Some ws -> ws | None -> Domain.DLS.get default_ws
+  in
   if search ws ~blocked_vertices ~blocked_edges g ~src ~dst ~max_hops then
     Some (extract_path ws ~src ~dst)
   else None

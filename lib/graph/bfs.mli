@@ -26,7 +26,9 @@ end
     A vertex [x] with [blocked_vertices.(x) = true] is never visited (if
     [src] or [dst] is blocked the result is [None]); an edge [id] with
     [blocked_edges.(id) = true] is never traversed.  Masks may be longer
-    than [n g] / [m g]; extra entries are ignored. *)
+    than [n g] / [m g]; extra entries are ignored.  Without [ws] the
+    search uses a workspace private to the calling domain, so concurrent
+    calls from different domains are safe. *)
 val hop_bounded_path :
   ?ws:Workspace.t ->
   ?blocked_vertices:bool array ->

@@ -10,14 +10,14 @@
     in the hot loops.
 
     Concurrency: counters are atomic and safe to bump from multiple
-    domains (the parallel batched greedy does).  Timers and histograms
+    domains (the {!Exec} pool's workers do).  Timers and histograms
     are {e sharded per domain}: each domain lazily registers a private
     slot keyed on [Domain.self ()] and records with plain stores into it,
     and every aggregate read ([total_s], [count], [quantile], snapshots)
     merges the shards.  Merged values are exact for any writer the reader
     has synchronized with — the {!Exec} pool's region hand-off and
-    [Domain.join] both qualify — so end-of-region totals under the
-    parallel greedy are exact, not best-effort; a read raced against a
+    [Domain.join] both qualify — so end-of-region totals of a pooled
+    region are exact, not best-effort; a read raced against a
     still-running writer may miss its latest observations but never
     tears.  Spans remain main-domain constructs.
 

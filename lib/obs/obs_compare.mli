@@ -16,7 +16,7 @@
     [net.giveups]) are skipped for the analogous reason: they count
     injected faults and the retransmit protocol's reactions, which move
     with any fault-plan or backoff-policy change.  Everything else on a
-    parallel or lossy entry (e.g. [greedy-parallel]'s [lbc.*] series)
+    parallel or lossy entry (e.g. [dk11-parallel]'s [bfs.*] series)
     stays under the tight counter tolerance, which is exactly the
     determinism contract of [Exec.parallel_for] and of the reliable
     delivery layer.

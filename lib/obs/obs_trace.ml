@@ -85,8 +85,8 @@ let admit smp payload =
       by_cid cid
   | _ -> smp.smp_keep ()
 
-(* Ring state, guarded by [lock] (multi-domain producers: the parallel
-   batched greedy emits from worker domains).  [seen_count] numbers every
+(* Ring state, guarded by [lock] (multi-domain producers: the Exec
+   pool's workers emit from their domains).  [seen_count] numbers every
    emission; [stored_count] counts the ones the sampler admitted, and
    indexes the ring, so sampled-out events leave no holes. *)
 let lock = Mutex.create ()

@@ -14,8 +14,8 @@
     Tracing is {e off by default} and one-branch-cheap when disabled:
     instrumented sites guard both the event allocation and the {!emit}
     call behind [if Obs_trace.enabled () then ...].  While enabled, emits
-    are serialized by a mutex, so multi-domain producers (the parallel
-    batched greedy) interleave safely.
+    are serialized by a mutex, so multi-domain producers (the {!Exec}
+    pool's workers) interleave safely.
 
     Two export formats:
     - the native [ftspan.trace.v1] JSON document ({!to_json}), a flat
@@ -41,7 +41,7 @@ type payload =
       (** ... and returned: verdict, BFS rounds spent, certificate size
           (0 on [No]) *)
   | Greedy_edge of { edge : int; kept : bool; weight : float }
-      (** a greedy (poly/exp/batch) committed or rejected an edge *)
+      (** a greedy (poly/exp) committed or rejected an edge *)
   | Congest_round of { round : int; messages : int; bits : int }
       (** one simulator round completed, with that round's traffic *)
   | Chaos_event of { kind : string; cid : int; src : int; dst : int }
@@ -66,8 +66,8 @@ type payload =
   | Cluster_stats of { partition : int; clusters : int; max_depth : int }
       (** one partition of a padded decomposition converged *)
   | Phase of { name : string; index : int }
-      (** a numbered algorithm phase boundary (DK11 iteration, greedy
-          batch) *)
+      (** a numbered algorithm phase boundary (DK11 iteration, dynamic
+          apply) *)
   | Counter_sample of { name : string; value : int }
       (** a point-in-time sample of a named counter (a Chrome counter
           track) *)

@@ -69,34 +69,29 @@ fi
 "$BIN" verify -k 2 -f 1 --exhaustive "$TMP/s.graph" "$TMP/pruned.txt" \
   | grep -q "OK" || fail "pruned selection stays valid"
 
-# --jobs: a pooled build must produce the bit-identical selection (the
-# Exec.parallel_for determinism contract), and the parallel verify
-# batteries the same verdict.  --batch is pinned: its default flips to
-# 512 when jobs > 1, which intentionally changes the spanner.
-"$BIN" build -k 2 -f 1 --jobs 1 --batch 64 "$TMP/g.graph" -o "$TMP/sel-seq.txt" \
-  >/dev/null || fail "build --jobs 1"
-"$BIN" build -k 2 -f 1 -j 2 --batch 64 "$TMP/g.graph" -o "$TMP/sel-par.txt" \
-  >/dev/null || fail "build -j 2"
-cmp -s "$TMP/sel-seq.txt" "$TMP/sel-par.txt" \
-  || fail "-j 2 selection must be bit-identical to --jobs 1"
-"$BIN" verify -k 2 -f 1 -j 2 --trials 40 "$TMP/g.graph" "$TMP/sel-par.txt" \
+# --jobs changes speed, never output: plain builds at -j 1, 2 and 4 are
+# byte-identical for the sequential greedy and for dk11 (whose
+# iterations fan out over the pool), and the parallel verify batteries
+# give the same verdict.
+for algo in greedy-poly dk11; do
+  for j in 1 2 4; do
+    "$BIN" build --seed 7 -k 2 -f 1 --algo "$algo" -j "$j" "$TMP/g.graph" \
+      -o "$TMP/sel-$algo-j$j.txt" >/dev/null || fail "build $algo -j $j"
+  done
+  for j in 2 4; do
+    cmp -s "$TMP/sel-$algo-j1.txt" "$TMP/sel-$algo-j$j.txt" \
+      || fail "$algo -j $j selection must be byte-identical to -j 1"
+  done
+done
+"$BIN" verify -k 2 -f 1 -j 2 --trials 40 "$TMP/g.graph" "$TMP/sel-greedy-poly-j2.txt" \
   | grep -q "OK" || fail "verify -j 2"
 "$BIN" build -k 2 -f 1 --jobs 0 "$TMP/g.graph" >/dev/null 2>&1 \
   && fail "jobs=0 accepted"
-"$BIN" build -k 2 -f 1 -j 2 --batch 0 "$TMP/g.graph" >/dev/null 2>&1 \
-  && fail "batch=0 accepted"
-
-# --shard: the decomposition-sharded build — valid output, shard stats
-# on stdout, bit-identical selection at --jobs 4, and rejected by
-# subcommands that have no sharded path (dynamic)
-"$BIN" build --seed 7 -k 2 -f 1 --shard "$TMP/g.graph" -o "$TMP/shard.txt" \
-  | grep -q "^shard: " || fail "build --shard must print shard stats"
-"$BIN" verify -k 2 -f 1 --trials 40 "$TMP/g.graph" "$TMP/shard.txt" \
-  | grep -q "OK" || fail "verify sharded selection"
-"$BIN" build --seed 7 -k 2 -f 1 --shard --jobs 4 "$TMP/g.graph" \
-  -o "$TMP/shard-j4.txt" >/dev/null || fail "build --shard --jobs 4"
-cmp -s "$TMP/shard.txt" "$TMP/shard-j4.txt" \
-  || fail "--shard selection must be bit-identical at --jobs 4"
+# the batched and sharded builds are gone: their flags are unknown
+"$BIN" build -k 2 -f 1 --batch 64 "$TMP/g.graph" >/dev/null 2>&1 \
+  && fail "build must reject --batch"
+"$BIN" build -k 2 -f 1 --shard "$TMP/g.graph" >/dev/null 2>&1 \
+  && fail "build must reject --shard"
 
 # dot export
 "$BIN" build -k 2 -f 1 "$TMP/s.graph" --dot "$TMP/s.dot" >/dev/null || fail "build --dot"
@@ -127,9 +122,6 @@ cmp -s "$TMP/dyn1.cmp" "$TMP/dyn2.out" \
 printf 'bogus\n' > "$TMP/dyn-bad.ops"
 "$BIN" dynamic "$TMP/dyn-bad.ops" >/dev/null 2>&1
 [ $? -eq 2 ] || fail "bad dynamic script must exit 2"
-# --shard has no dynamic path: cmdliner must reject the unknown flag
-"$BIN" dynamic -k 2 -f 1 --shard "$TMP/dyn.ops" >/dev/null 2>&1 \
-  && fail "dynamic must reject --shard"
 
 # oracle, local, congest
 "$BIN" oracle -k 2 --queries 200 "$TMP/g.graph" | grep -q "guarantee 3" \
@@ -216,10 +208,10 @@ grep -q '"entries": \[\]' "$TMP/bench-empty.json" \
 # bench --jobs: the parallel smoke entry runs on a 2-worker pool and its
 # metrics document still carries the entry (pool.* series are skipped by
 # the comparison, not by the report)
-"$BENCH" --jobs 2 --smoke --match greedy-parallel \
+"$BENCH" --jobs 2 --smoke --match dk11-parallel \
   --json "$TMP/bench-jobs.json" >/dev/null || fail "bench --jobs 2"
-grep -q '"id": "greedy-parallel"' "$TMP/bench-jobs.json" \
-  || fail "bench --jobs must run greedy-parallel"
+grep -q '"id": "dk11-parallel"' "$TMP/bench-jobs.json" \
+  || fail "bench --jobs must run dk11-parallel"
 "$BENCH" --jobs 0 --smoke >/dev/null 2>&1 && fail "bench jobs=0 accepted"
 
 # bench regression gate: a fresh smoke run passes against the checked-in

@@ -226,38 +226,56 @@ let prop_random_scripts_eft =
   prop_random_scripts Fault.EFT "dynamic: random op scripts stay valid (EFT)"
 
 let prop_shed_keeps_validity =
-  (* with the shed pass disabled the selection is still valid, and the
-     shed selection is never larger *)
+  (* One apply's shed pass never grows |H|: after every apply, the size
+     change is exactly the stats' account (inserts kept, kept edges
+     deleted, add-only re-admissions, net shed), and the net shed is
+     never negative — so |H| is at most what the add-only repair alone
+     leaves from the same state.  The end-state "never larger than an
+     unshed handle" claim is false (the histories diverge) and is not
+     asserted.  The final selection is checked exhaustively. *)
   QCheck.Test.make ~count:25 ~name:"dynamic: shed pass sound and never grows"
-    arb_ops (fun (seed, n, ops) ->
-      let replay shed =
-        let d = dyn ~shed ~mode:Fault.VFT ~k:2 ~f:1 n in
-        let live = Hashtbl.create 16 in
-        let keyp u v = (min u v, max u v) in
-        List.iter
-          (fun (kind, a, b) ->
-            let u = a mod n and v = b mod n in
-            if u <> v then
-              match kind with
-              | 0 | 2 ->
-                  if not (Hashtbl.mem live (keyp u v)) then begin
-                    Hashtbl.replace live (keyp u v) ();
-                    insert d u v
-                  end
-              | _ ->
-                  if Hashtbl.mem live (keyp u v) then begin
-                    Hashtbl.remove live (keyp u v);
-                    ignore (Dynamic.apply d [ Dynamic.Delete_edge { u; v } ])
-                  end)
-          ops;
-        d
+    arb_ops (fun (_seed, n, ops) ->
+      let d = dyn ~mode:Fault.VFT ~k:2 ~f:1 n in
+      let live = Hashtbl.create 16 in
+      let keyp u v = (min u v, max u v) in
+      let kept u v =
+        let sel = Dynamic.snapshot d in
+        match Graph.find_edge sel.Selection.source u v with
+        | Some id when Selection.mem sel id -> 1
+        | _ -> 0
       in
-      let with_shed = replay true and without = replay false in
-      ignore seed;
-      Dynamic.size with_shed <= Dynamic.size without
+      let ok = ref true in
+      List.iter
+        (fun (kind, a, b) ->
+          let u = a mod n and v = b mod n in
+          if u <> v then begin
+            let before = Dynamic.size d in
+            match kind with
+            | 0 | 2 ->
+                if not (Hashtbl.mem live (keyp u v)) then begin
+                  Hashtbl.replace live (keyp u v) ();
+                  let s =
+                    Dynamic.apply d [ Dynamic.Insert { u; v; w = 1.0 } ]
+                  in
+                  ok := !ok && Dynamic.size d = before + s.Dynamic.kept
+                end
+            | _ ->
+                if Hashtbl.mem live (keyp u v) then begin
+                  Hashtbl.remove live (keyp u v);
+                  let lost = kept u v in
+                  let s = Dynamic.apply d [ Dynamic.Delete_edge { u; v } ] in
+                  ok :=
+                    !ok
+                    && s.Dynamic.shed >= 0
+                    && Dynamic.size d
+                       = before - lost + s.Dynamic.readded - s.Dynamic.shed
+                end
+          end)
+        ops;
+      !ok
       && Verify.ok
-           (Verify.exhaustive (Dynamic.snapshot with_shed) ~mode:Fault.VFT
-              ~stretch:3.0 ~f:1))
+           (Verify.exhaustive (Dynamic.snapshot d) ~mode:Fault.VFT ~stretch:3.0
+              ~f:1))
 
 (* ---------------------- query-plane determinism ---------------------- *)
 

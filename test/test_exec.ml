@@ -103,9 +103,13 @@ let test_worker_local_lazy_per_worker () =
         Atomic.incr inits;
         ref w)
   in
+  (* Alcotest is not domain-safe: count mismatches in the body and
+     assert on the caller. *)
+  let mismatches = Atomic.make 0 in
   Exec.parallel_for ~chunk:1 pool ~lo:0 ~hi:300 (fun ~worker _ _ ->
       let r = Exec.Worker_local.get slots ~worker in
-      checki "slot bound to its worker" worker !r);
+      if !r <> worker then Atomic.incr mismatches);
+  checki "slot bound to its worker" 0 (Atomic.get mismatches);
   checkb "each worker initialized at most once"
     true
     (Atomic.get inits <= Exec.Pool.size pool);
@@ -113,8 +117,8 @@ let test_worker_local_lazy_per_worker () =
 
 (* ----------------- determinism: builds and verify -------------------- *)
 
-(* The tentpole's acceptance bar: selections through a pool are
-   bit-identical to the sequential batched build on every family, both
+(* --jobs changes speed, never output: every facade build through a pool
+   is bit-identical to the build without one, on every family, both
    fault modes, at any domain count. *)
 let graph_families () =
   let r = rng () in
@@ -126,53 +130,62 @@ let graph_families () =
     );
   ]
 
+let build ?pool algorithm params g =
+  ids (Spanner.build ~algorithm ~options:(Spanner.options ?pool ()) params g)
+
 let test_build_bit_identical_across_domains () =
   List.iter
     (fun (name, g) ->
       List.iter
-        (fun mode ->
-          let seq = Batch_greedy.build ~mode ~k:2 ~f:1 ~batch:32 g in
+        (fun (mode, algorithm) ->
+          let params = { Spanner.k = 2; f = 1; mode } in
+          let seq = build algorithm params g in
           List.iter
             (fun domains ->
               let par =
                 Exec.Pool.with_pool ~domains (fun pool ->
-                    Batch_greedy.build ~pool ~mode ~k:2 ~f:1 ~batch:32 g)
+                    build ~pool algorithm params g)
               in
               check
                 (Alcotest.list Alcotest.int)
-                (Printf.sprintf "%s %s domains=%d" name
+                (Printf.sprintf "%s %s %s domains=%d" name
+                   (Spanner.algorithm_name algorithm)
                    (match mode with Fault.VFT -> "VFT" | Fault.EFT -> "EFT")
                    domains)
-                (ids seq.Batch_greedy.selection)
-                (ids par.Batch_greedy.selection))
+                seq par)
             [ 1; 2; 4 ])
-        [ Fault.VFT; Fault.EFT ])
+        [
+          (Fault.VFT, Spanner.Greedy_poly);
+          (Fault.EFT, Spanner.Greedy_poly);
+          (Fault.VFT, Spanner.Dinitz_krauthgamer);
+          (Fault.EFT, Spanner.Dinitz_krauthgamer);
+        ])
     (graph_families ())
 
 let test_pool_reused_across_builds () =
   let r = rng () in
   let g1 = Generators.connected_gnp r ~n:60 ~p:0.2 in
   let g2 = Generators.grid ~rows:7 ~cols:7 in
-  let seq1 = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:2 ~batch:16 g1 in
-  let seq2 = Batch_greedy.build ~mode:Fault.EFT ~k:3 ~f:1 ~batch:16 g2 in
+  let p1 = { Spanner.k = 2; f = 2; mode = Fault.VFT } in
+  let p2 = { Spanner.k = 3; f = 1; mode = Fault.EFT } in
+  let dk = Spanner.Dinitz_krauthgamer in
+  let seq1 = build dk p1 g1 and seq2 = build dk p2 g2 in
   Exec.Pool.with_pool ~domains:4 @@ fun pool ->
-  (* Two consecutive builds on one pool: per-worker workspaces are
-     cached and reused, and both results stay sequential-identical. *)
-  let par1 = Batch_greedy.build ~pool ~mode:Fault.VFT ~k:2 ~f:2 ~batch:16 g1 in
-  let par2 = Batch_greedy.build ~pool ~mode:Fault.EFT ~k:3 ~f:1 ~batch:16 g2 in
-  check (Alcotest.list Alcotest.int) "first build on shared pool"
-    (ids seq1.Batch_greedy.selection)
-    (ids par1.Batch_greedy.selection);
-  check (Alcotest.list Alcotest.int) "second build on shared pool"
-    (ids seq2.Batch_greedy.selection)
-    (ids par2.Batch_greedy.selection)
+  (* Two consecutive builds on one pool both stay identical to the
+     builds without a pool. *)
+  let par1 = build ~pool dk p1 g1 in
+  let par2 = build ~pool dk p2 g2 in
+  check (Alcotest.list Alcotest.int) "first build on shared pool" seq1 par1;
+  check (Alcotest.list Alcotest.int) "second build on shared pool" seq2 par2
 
 let test_spanner_options_facade () =
   let r = rng () in
   let g = Generators.connected_gnp r ~n:50 ~p:0.25 in
   let params = { Spanner.k = 2; f = 1; mode = Fault.VFT } in
   let plain = Spanner.build params g in
-  (* Default options are the historical sequential path. *)
+  check (Alcotest.list Alcotest.int) "greedy-poly is Poly_greedy.build"
+    (ids (Poly_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 g))
+    (ids plain);
   let dflt = Spanner.build ~options:Spanner.default_options params g in
   check (Alcotest.list Alcotest.int) "default options = plain" (ids plain)
     (ids dflt);
@@ -183,10 +196,50 @@ let test_spanner_options_facade () =
   in
   check (Alcotest.list Alcotest.int) "pooled batch=1 = sequential" (ids plain)
     (ids pooled);
-  try
-    ignore (Spanner.options ~batch:0 ());
-    Alcotest.fail "batch=0 should fail"
-  with Invalid_argument _ -> ()
+  List.iter
+    (fun batch ->
+      try
+        ignore (Spanner.options ~batch ());
+        Alcotest.fail (Printf.sprintf "batch=%d should fail" batch)
+      with Invalid_argument _ -> ())
+    [ 0; 2; 512 ]
+
+(* Dk11's iterations draw from streams pre-split before any of them
+   runs, so the pool only decides which domain runs each one: no pool
+   and pools of 1/2/4 give the same selection, directly and through the
+   facade's dk11 and dk11-bs routes. *)
+let test_dk11_pooled_bit_identical () =
+  let g = Generators.connected_gnp (rng ()) ~n:40 ~p:0.12 in
+  let direct ?pool () =
+    Dk11.build (Rng.create ~seed:77) ~mode:Fault.VFT ~k:2 ~f:1 ?pool g
+  in
+  let reference = ids (direct ()) in
+  List.iter
+    (fun domains ->
+      Exec.Pool.with_pool ~domains @@ fun pool ->
+      check
+        (Alcotest.list Alcotest.int)
+        (Printf.sprintf "dk11 jobs=%d matches no pool" domains)
+        reference
+        (ids (direct ~pool ()));
+      List.iter
+        (fun algorithm ->
+          check
+            (Alcotest.list Alcotest.int)
+            (Printf.sprintf "%s facade jobs=%d matches no pool"
+               (Spanner.algorithm_name algorithm)
+               domains)
+            reference
+            (ids
+               (Spanner.build ~rng:(Rng.create ~seed:77) ~algorithm
+                  ~options:(Spanner.options ~pool ())
+                  { Spanner.k = 2; f = 1; mode = Fault.VFT }
+                  g)))
+        [ Spanner.Dinitz_krauthgamer; Spanner.Baswana_sen_union ])
+    [ 1; 2; 4 ];
+  let cfg = Verify.config ~rng:(rng ()) ~trials:30 () in
+  checkb "dk11 is a valid spanner" true
+    (Verify.ok (Verify.random ~cfg (direct ()) ~mode:Fault.VFT ~stretch:3.0 ~f:1))
 
 let test_verify_batteries_deterministic () =
   let r = rng () in
@@ -257,6 +310,11 @@ let () =
           Alcotest.test_case "spanner options" `Quick test_spanner_options_facade;
           Alcotest.test_case "verify batteries" `Quick
             test_verify_batteries_deterministic;
+        ] );
+      ( "facade",
+        [
+          Alcotest.test_case "dk11 pooled determinism" `Quick
+            test_dk11_pooled_bit_identical;
         ] );
       ( "default_jobs",
         [ Alcotest.test_case "parsing and override" `Quick test_default_jobs ] );

@@ -1,6 +1,6 @@
 (* Tests for the extension modules: Thorup-Zwick (the CLPR10-era baseline
    substrate), blocking sets (the paper's Lemma 6/7 machinery made
-   executable), sound pruning, and the batched greedy. *)
+   executable) and sound pruning. *)
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -258,101 +258,6 @@ let test_prune_removes_redundancy () =
     (Printf.sprintf "removed %d of %d" res.Prune.removed (Graph.m g))
     true (res.Prune.removed > 0)
 
-(* -------------------------- Batch greedy ------------------------------ *)
-
-let test_batch_one_equals_sequential () =
-  let r = rng () in
-  let g = Generators.connected_gnp r ~n:30 ~p:0.3 in
-  let seq = Poly_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 g in
-  let bat = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch:1 g in
-  check (Alcotest.list Alcotest.int) "identical" (Selection.ids seq)
-    (Selection.ids bat.Batch_greedy.selection);
-  checki "m batches" (Graph.m g) bat.Batch_greedy.batches
-
-let test_batch_full_is_whole_graph () =
-  let r = rng () in
-  let g = Generators.connected_gnp r ~n:25 ~p:0.3 in
-  let bat = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch:(Graph.m g) g in
-  checki "one batch" 1 bat.Batch_greedy.batches;
-  checki "everything accepted" (Graph.m g) bat.Batch_greedy.selection.Selection.size
-
-let test_batch_valid_at_any_batch_size () =
-  let r = rng () in
-  let g = Generators.connected_gnp r ~n:13 ~p:0.4 in
-  List.iter
-    (fun batch ->
-      let bat = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch g in
-      let report =
-        Verify.exhaustive bat.Batch_greedy.selection ~mode:Fault.VFT
-          ~stretch:(stretch 2) ~f:1
-      in
-      checkb (Printf.sprintf "batch=%d valid" batch) true (Verify.ok report))
-    [ 1; 2; 5; 16; 1000 ]
-
-let test_batch_size_monotone_tendency () =
-  (* Bigger batches see less context, so sizes should not shrink. *)
-  let r = rng () in
-  let g = Generators.connected_gnp r ~n:60 ~p:0.25 in
-  let size batch =
-    (Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch g).Batch_greedy.selection
-      .Selection.size
-  in
-  let s1 = size 1 and s16 = size 16 and sall = size (Graph.m g) in
-  checkb "batch 16 >= sequential" true (s16 >= s1);
-  checkb "single batch is largest" true (sall >= s16)
-
-let test_batch_weighted_valid () =
-  let r = rng () in
-  let g0 = Generators.connected_gnp r ~n:12 ~p:0.5 in
-  let g = Generators.with_uniform_weights r g0 ~lo:1.0 ~hi:6.0 in
-  let bat = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch:8 g in
-  let report =
-    Verify.exhaustive bat.Batch_greedy.selection ~mode:Fault.VFT
-      ~stretch:(stretch 2) ~f:1
-  in
-  checkb "weighted batched valid" true (Verify.ok report)
-
-let test_batch_parallel_matches_sequential () =
-  let r = rng () in
-  let g = Generators.connected_gnp r ~n:60 ~p:0.25 in
-  List.iter
-    (fun (batch, domains) ->
-      let seq = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:2 ~batch g in
-      let par =
-        Exec.Pool.with_pool ~domains (fun pool ->
-            Batch_greedy.build ~pool ~mode:Fault.VFT ~k:2 ~f:2 ~batch g)
-      in
-      check (Alcotest.list Alcotest.int)
-        (Printf.sprintf "batch=%d domains=%d" batch domains)
-        (Selection.ids seq.Batch_greedy.selection)
-        (Selection.ids par.Batch_greedy.selection))
-    [ (8, 2); (64, 3); (1000, 4) ]
-
-(* The per-call-spawn [build_parallel] wrapper is gone; the facade's
-   [Spanner.options ?pool ?batch] is the supported route to the batched
-   parallel build and must keep producing the sequential selection. *)
-let test_batch_parallel_via_facade () =
-  let r = rng () in
-  let g = Generators.connected_gnp r ~n:40 ~p:0.3 in
-  let seq = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch:16 g in
-  let par =
-    Exec.Pool.with_pool ~domains:2 (fun pool ->
-        Spanner.build
-          ~options:(Spanner.options ~batch:16 ~pool ())
-          { Spanner.k = 2; f = 1; mode = Fault.VFT }
-          g)
-  in
-  check (Alcotest.list Alcotest.int) "facade route matches"
-    (Selection.ids seq.Batch_greedy.selection)
-    (Selection.ids par)
-
-let test_batch_rejects_bad_batch () =
-  let g = Generators.cycle 4 in
-  try
-    ignore (Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch:0 g);
-    Alcotest.fail "batch=0 should fail"
-  with Invalid_argument _ -> ()
-
 let () =
   Alcotest.run "extensions"
     [
@@ -389,16 +294,5 @@ let () =
           Alcotest.test_case "weighted valid" `Quick test_prune_weighted_still_valid;
           Alcotest.test_case "cycle minimal" `Quick test_prune_cycle_is_minimal;
           Alcotest.test_case "removes redundancy" `Quick test_prune_removes_redundancy;
-        ] );
-      ( "batch greedy",
-        [
-          Alcotest.test_case "batch=1 = sequential" `Quick test_batch_one_equals_sequential;
-          Alcotest.test_case "one batch = G" `Quick test_batch_full_is_whole_graph;
-          Alcotest.test_case "valid at any batch" `Quick test_batch_valid_at_any_batch_size;
-          Alcotest.test_case "size monotone" `Quick test_batch_size_monotone_tendency;
-          Alcotest.test_case "weighted valid" `Quick test_batch_weighted_valid;
-          Alcotest.test_case "parallel = sequential" `Quick test_batch_parallel_matches_sequential;
-          Alcotest.test_case "facade pool route" `Quick test_batch_parallel_via_facade;
-          Alcotest.test_case "bad batch" `Quick test_batch_rejects_bad_batch;
         ] );
     ]

@@ -380,17 +380,6 @@ let prop_blocking_certificates =
       | Ok (Some _) -> false
       | Error _ -> true (* enumeration limit: inconclusive, not a failure *))
 
-let prop_batch_greedy_valid_any_batch =
-  QCheck.Test.make ~count:12 ~name:"batch greedy: valid at random batch sizes"
-    (QCheck.pair arb_graph_desc (QCheck.make QCheck.Gen.(int_range 1 40)))
-    (fun (desc, batch) ->
-      let seed, n, p = desc in
-      let g = graph_of (seed, min n 12, p) in
-      let res = Batch_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 ~batch g in
-      Verify.ok
-        (Verify.exhaustive res.Batch_greedy.selection ~mode:Fault.VFT
-           ~stretch:3.0 ~f:1))
-
 let prop_synchronizer_completes =
   QCheck.Test.make ~count:10 ~name:"synchronizer: full skeleton always completes"
     arb_graph_desc (fun desc ->
@@ -484,7 +473,6 @@ let suite =
       prop_incremental_equals_offline;
       prop_incremental_sorted_equals_spanner_build;
       prop_blocking_certificates;
-      prop_batch_greedy_valid_any_batch;
       prop_synchronizer_completes;
       prop_blow_up_counts;
       prop_io_parser_total;
