@@ -824,7 +824,7 @@ let congest_hotpath () =
       | None -> Net.create ~model:Net.Local ~bits:(fun _ -> 16) g
       | Some ch -> Net.create ~chaos:ch ~model:Net.Local ~bits:(fun _ -> 16) g
     in
-    Net.set_skeleton net skel.Selection.selected;
+    Wire.set_skeleton (Net.wire net) skel.Selection.selected;
     for _ = 1 to 8 do
       for v = 0 to Graph.n g - 1 do
         Net.broadcast net ~src:v v
@@ -848,8 +848,8 @@ let congest_hotpath () =
     (Obs.Counter.value (Obs.counter "net.bits.other"))
     skel.Selection.size (Graph.m g);
   List.iter
-    (fun he -> row "  hot: %s" (Format.asprintf "%a" Net.pp_hot_edge he))
-    (Net.hot_edges ~top:5 lossy)
+    (fun he -> row "  hot: %s" (Format.asprintf "%a" Wire.pp_hot_edge he))
+    (Wire.hot_edges ~top:5 (Net.wire lossy))
 
 (* DK11's independent iterations as parallel_for work items over
    pre-split rng streams: the one build the pool speeds up. *)
@@ -1031,7 +1031,7 @@ let dynamic_query () =
     (Array.length pairs) dt
     (float_of_int (Array.length pairs) /. dt)
     reachable;
-  let h = Obs.histogram_log "dynamic.query_latency" in
+  let h = Obs.histogram "dynamic.query_latency" in
   row "  query latency p50 %.1f us, p99 %.1f us"
     (1e6 *. Obs.Histogram.quantile h 0.5)
     (1e6 *. Obs.Histogram.quantile h 0.99)

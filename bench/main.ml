@@ -154,9 +154,9 @@ let parse_args args =
   in
   (!json, !trace, !stream, jobs)
 
-(* Wall time feeds the log-linear histogram so the report's quantile block
+(* Wall time feeds a histogram so the report's quantile block
    covers the bench itself, not just the instrumented library layers. *)
-let h_wall = Obs.histogram_log "bench.wall_s"
+let h_wall = Obs.histogram "bench.wall_s"
 
 let run_job (id, fn) =
   Obs.reset ();

@@ -216,7 +216,8 @@ let build_cmd =
         with_metrics metrics ~id:"build" @@ fun () ->
         with_stream stream @@ fun () ->
         with_trace trace @@ fun () ->
-        with_jobs jobs @@ fun pool ->
+        (* only the algorithms that fan out get worker domains *)
+        with_jobs (if Spanner.uses_pool algo then jobs else 1) @@ fun pool ->
         let rng = Rng.create ~seed in
         let params = { Spanner.k; f; mode } in
         let options = Spanner.options ?pool () in

@@ -70,7 +70,7 @@ let m_epochs = Obs.counter "dynamic.epochs"
 let m_queries = Obs.counter "dynamic.queries"
 let m_query_batches = Obs.counter "dynamic.query_batches"
 let h_region = Obs.histogram "dynamic.repair.region_size"
-let h_qlat = Obs.histogram_log "dynamic.query_latency"
+let h_qlat = Obs.histogram "dynamic.query_latency"
 
 let key u v = if u < v then (u, v) else (v, u)
 let hops_bound t = (2 * t.o.k) - 1

@@ -13,6 +13,10 @@ let algorithm_name = function
 let all_algorithms =
   [ Greedy_poly; Greedy_exponential; Dinitz_krauthgamer; Baswana_sen_union ]
 
+let uses_pool = function
+  | Dinitz_krauthgamer | Baswana_sen_union -> true
+  | Greedy_poly | Greedy_exponential -> false
+
 type params = { k : int; f : int; mode : Fault.mode }
 
 let stretch p = float_of_int ((2 * p.k) - 1)

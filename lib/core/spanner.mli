@@ -16,6 +16,12 @@ type algorithm =
 val algorithm_name : algorithm -> string
 val all_algorithms : algorithm list
 
+(** [uses_pool a] is [true] when [a] fans work out over
+    [options.pool] ({!Dinitz_krauthgamer}, {!Baswana_sen_union}); the
+    greedy algorithms are sequential, so a caller need not open a pool
+    for them. *)
+val uses_pool : algorithm -> bool
+
 type params = {
   k : int;  (** stretch parameter: the spanner has stretch [2k - 1] *)
   f : int;  (** number of faults tolerated *)

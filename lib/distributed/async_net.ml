@@ -8,21 +8,18 @@ type t = {
   rng : Rng.t;
   min_delay : float;
   max_delay : float;
-  chaos : Chaos.state option;
+  wire : Wire.t;  (* slots, chaos copy fate, run-long physical load *)
   queue : Pqueue.t;
   mutable handlers : ev array;
   mutable handler_count : int;
   mutable clock : float;
   mutable sent : int;
-  (* congestion accumulator: physical message copies per directed slot
-     (2m slots, like Net.edge_round_bits), cumulative over the run *)
-  slot_msgs : int array;
-  (* ... and per 1.0-wide simulated-time window, flushed into the
-     net.edge_window_load histogram when the clock crosses a boundary *)
+  (* physical message copies per directed slot per 1.0-wide
+     simulated-time window, flushed into the net.edge_window_load
+     histogram when the clock crosses a boundary *)
   win_msgs : int array;
   mutable win_touched : int list;
   mutable win_id : int;
-  mutable skeleton : bool array option;
 }
 
 let nop () = ()
@@ -31,7 +28,7 @@ let nop_ev = { h = nop; ev_cid = -1; ev_src = -1; ev_dst = -1 }
 (* Pending deliveries + timers in the event queue: a level, so a gauge. *)
 let g_inflight = Obs.gauge "gauge.net.inflight"
 
-let h_window_load = Obs.histogram_log "net.edge_window_load"
+let h_window_load = Obs.histogram "net.edge_window_load"
 let m_msgs_spanner = Obs.counter "net.msgs.spanner"
 let m_msgs_other = Obs.counter "net.msgs.other"
 
@@ -43,36 +40,22 @@ let create rng ?(min_delay = 0.1) ?(max_delay = 1.0) ?chaos g =
     rng;
     min_delay;
     max_delay;
-    chaos;
+    wire = Wire.create ?chaos ~spanner:m_msgs_spanner ~other:m_msgs_other g;
     queue = Pqueue.create ~capacity:64;
     handlers = Array.make 64 nop_ev;
     handler_count = 0;
     clock = 0.;
     sent = 0;
-    slot_msgs = Array.make (max 1 (2 * Graph.m g)) 0;
     win_msgs = Array.make (max 1 (2 * Graph.m g)) 0;
     win_touched = [];
     win_id = 0;
-    skeleton = None;
   }
 
 let now net = net.clock
 let messages net = net.sent
 let max_delay net = net.max_delay
 
-let set_skeleton net mask =
-  if Array.length mask <> Graph.m net.g then
-    invalid_arg
-      (Printf.sprintf "Async_net.set_skeleton: mask has %d slots for %d edges"
-         (Array.length mask) (Graph.m net.g));
-  net.skeleton <- Some mask
-
-type hot_edge = Net.hot_edge = {
-  he_edge : int;
-  he_dir : int;
-  he_bits : int;
-  he_rounds : int;
-}
+let wire net = net.wire
 
 (* Windows are closed lazily, when a send observes the clock past the
    boundary — simulated time only, so the flush schedule replays
@@ -84,22 +67,6 @@ let flush_window net =
       net.win_msgs.(s) <- 0)
     net.win_touched;
   net.win_touched <- []
-
-let hot_edges ?(top = 10) net =
-  if top < 0 then invalid_arg "Async_net.hot_edges: top must be >= 0";
-  let loaded = ref [] in
-  Array.iteri
-    (fun s c -> if c > 0 then loaded := (s, c) :: !loaded)
-    net.slot_msgs;
-  let sorted =
-    List.sort
-      (fun (s1, c1) (s2, c2) ->
-        if c1 <> c2 then compare c2 c1 else compare s1 s2)
-      !loaded
-  in
-  List.filteri (fun i _ -> i < top) sorted
-  |> List.map (fun (s, c) ->
-         { he_edge = s / 2; he_dir = s mod 2; he_bits = c; he_rounds = 0 })
 
 let push_ev net ~time ev =
   if net.handler_count = Array.length net.handlers then begin
@@ -119,71 +86,39 @@ let at net ~time handler =
   if time < net.clock then invalid_arg "Async_net.at: time is in the past";
   push net ~time handler
 
-(* One physical copy on directed slot [s]: the congestion accumulator,
-   the current window and the skeleton attribution (dup copies charge
-   twice, a crashed sender's message never). *)
-let charge_wire net s =
-  net.slot_msgs.(s) <- net.slot_msgs.(s) + 1;
+(* One physical copy on directed slot [s], into the current window. *)
+let charge_window net s =
   let wid = int_of_float net.clock in
   if wid > net.win_id then begin
     flush_window net;
     net.win_id <- wid
   end;
   if net.win_msgs.(s) = 0 then net.win_touched <- s :: net.win_touched;
-  net.win_msgs.(s) <- net.win_msgs.(s) + 1;
-  match net.skeleton with
-  | None -> ()
-  | Some mask ->
-      Obs.Counter.incr (if mask.(s / 2) then m_msgs_spanner else m_msgs_other)
+  net.win_msgs.(s) <- net.win_msgs.(s) + 1
 
 let transmit net ?cid ~src ~dst handler =
-  let s =
-    match Graph.find_edge net.g src dst with
-    | Some id -> (2 * id) + (if src < dst then 0 else 1)
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Async_net.send: %d and %d are not adjacent" src dst)
-  in
+  let s = Wire.slot net.g ~src ~dst in
   net.sent <- net.sent + 1;
-  let tracing = Obs_trace.enabled () in
-  let cid =
-    match cid with
-    | Some c -> c
-    | None -> if tracing then Obs_trace.mint_cid () else -1
-  in
-  if tracing then
-    Obs_trace.emit
-      (Obs_trace.Msg_send { cid; src; dst; at = net.clock; bits = 1 });
-  let ev = { h = handler; ev_cid = cid; ev_src = src; ev_dst = dst } in
-  let draw_delay () =
-    net.min_delay +. Rng.float net.rng (net.max_delay -. net.min_delay +. 1e-12)
-  in
-  (match net.chaos with
-  | None ->
-      charge_wire net s;
-      push_ev net ~time:(net.clock +. draw_delay ()) ev
-  | Some ch ->
-      if Chaos.crashed ch ~node:src ~time:net.clock then
-        Chaos.count_crash_drop ~cid ch ~src ~dst
-      else begin
-        (* Each copy: drop, or deliver after the base delay — stretched by
-           a spike — unless the destination is down at arrival time.  The
-           delay still comes from the {e network's} generator; only the
-           fault choices consume the chaos stream. *)
-        let deliver_copy () =
-          charge_wire net s;
-          if not (Chaos.draw_drop ~cid ch ~src ~dst) then begin
-            let delay = draw_delay () *. Chaos.draw_spike ~cid ch ~src ~dst in
-            let time = net.clock +. delay in
-            if Chaos.crashed ch ~node:dst ~time then
-              Chaos.count_crash_drop ~cid ch ~src ~dst
-            else push_ev net ~time ev
-          end
-        in
-        deliver_copy ();
-        if Chaos.draw_dup ~cid ch ~src ~dst then deliver_copy ()
-      end);
-  cid
+  (* A surviving copy arrives after the base delay — stretched by a
+     spike — unless the destination is down at arrival time.  The delay
+     comes from the {e network's} generator; only the fault choices
+     consume the chaos stream. *)
+  Wire.send net.wire ?cid ~slot:s ~src ~dst ~at:net.clock ~bits:1
+    ~on_wire:(fun () -> charge_window net s)
+    (fun cid chaos ->
+      let delay =
+        net.min_delay
+        +. Rng.float net.rng (net.max_delay -. net.min_delay +. 1e-12)
+      in
+      let ev = { h = handler; ev_cid = cid; ev_src = src; ev_dst = dst } in
+      match chaos with
+      | None -> push_ev net ~time:(net.clock +. delay) ev
+      | Some ch ->
+          let spike = Chaos.draw_spike ~cid ch ~src ~dst in
+          let time = net.clock +. (delay *. spike) in
+          if Chaos.crashed ch ~node:dst ~time then
+            Chaos.count_crash_drop ~cid ch ~src ~dst
+          else push_ev net ~time ev)
 
 let send net ~src ~dst handler = ignore (transmit net ~src ~dst handler)
 

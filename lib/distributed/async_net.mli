@@ -51,25 +51,11 @@ val send : t -> src:int -> dst:int -> (unit -> unit) -> unit
     handler fires. *)
 val transmit : t -> ?cid:int -> src:int -> dst:int -> (unit -> unit) -> int
 
-(** [set_skeleton net mask] arms spanner-vs-rest congestion attribution
-    ([mask] has one flag per edge id): every physical message copy from
-    then on bumps [net.msgs.spanner] or [net.msgs.other].  Raises
-    [Invalid_argument] on a size mismatch. *)
-val set_skeleton : t -> bool array -> unit
-
-type hot_edge = Net.hot_edge = {
-  he_edge : int;
-  he_dir : int;
-  he_bits : int;  (** here: physical message copies over the run *)
-  he_rounds : int;  (** always [0] — the async plane has no rounds *)
-}
-
-(** [hot_edges ?top net] is the congestion leaderboard: the [top]
-    (default 10) busiest directed slots by physical message copies,
-    busiest first, ties toward the smaller edge id.  Like
-    {!Net.hot_edges} but counting messages; [he_rounds] is [0].
-    Raises [Invalid_argument] on negative [top]. *)
-val hot_edges : ?top:int -> t -> hot_edge list
+(** [wire net] is the network's {!Wire}: arm spanner-vs-rest attribution
+    with {!Wire.set_skeleton} (into [net.msgs.spanner] /
+    [net.msgs.other]) and read the congestion leaderboard, in physical
+    message copies, with {!Wire.hot_edges}. *)
+val wire : t -> Wire.t
 
 (** [at net ~time handler] schedules a timer ([time] must not be in the
     past). *)

@@ -163,6 +163,10 @@ type state = {
 let start plan =
   { plan; rng = Rng.create ~seed:plan.seed; drops = 0; dups = 0; reorders = 0 }
 
+let arm = function
+  | Some plan when not (is_silent plan) -> Some (start plan)
+  | _ -> None
+
 let plan_of st = st.plan
 let counts st = { c_drops = st.drops; c_dups = st.dups; c_reorders = st.reorders }
 

@@ -91,6 +91,10 @@ type state
     the same schedule, independent of the algorithm's own generator. *)
 val start : plan -> state
 
+(** [arm plan] is [Some (start p)] for a plan [p] that injects faults, and
+    [None] — passthrough — for a silent or absent one. *)
+val arm : plan option -> state option
+
 val plan_of : state -> plan
 val counts : state -> counts
 

@@ -11,8 +11,8 @@ let h_msg_bits = Obs.histogram "net.message_bits"
 
 (* Congestion analytics: physical per-(edge, direction, round) load —
    duplicate copies included, unlike the offered-load stats — plus the
-   spanner-vs-rest attribution split armed by [set_skeleton]. *)
-let h_edge_round_load = Obs.histogram_log "net.edge_round_load"
+   spanner-vs-rest attribution split armed by [Wire.set_skeleton]. *)
+let h_edge_round_load = Obs.histogram "net.edge_round_load"
 let m_bits_spanner = Obs.counter "net.bits.spanner"
 let m_bits_other = Obs.counter "net.bits.other"
 
@@ -31,23 +31,12 @@ let pp_stats ppf s =
     s.rounds s.messages s.total_bits s.max_message_bits s.max_edge_round_bits
     s.congest_violations
 
-type hot_edge = {
-  he_edge : int;
-  he_dir : int;
-  he_bits : int;  (* cumulative physical bits over the run *)
-  he_rounds : int;  (* rounds this directed slot carried traffic *)
-}
-
-let pp_hot_edge ppf h =
-  Format.fprintf ppf "edge=%d dir=%d bits=%d rounds=%d" h.he_edge h.he_dir
-    h.he_bits h.he_rounds
-
 type 'msg t = {
   g : Graph.t;
   model : model;
   bits : 'msg -> int;
   record_history : bool;
-  chaos : Chaos.state option;
+  wire : Wire.t;  (* slots, chaos copy fate, run-long physical load *)
   (* copies lagging behind their send round (chaos reordering):
      (rounds still to wait, src, dst, cid, msg), in stable order *)
   mutable lagging : (int * int * int * int * 'msg) list;
@@ -61,10 +50,6 @@ type 'msg t = {
   mutable congest_violations : int;
   edge_round_bits : int array;  (* 2m slots: per edge per direction *)
   mutable touched : int list;  (* slots dirtied this round *)
-  (* congestion accumulator over the whole run, per directed slot *)
-  slot_bits : int array;  (* cumulative physical bits *)
-  slot_rounds : int array;  (* rounds the slot carried traffic *)
-  mutable skeleton : bool array option;  (* per edge id: in the spanner? *)
   mutable past_rounds : (int * int * int) list list;  (* reverse order *)
   (* totals at the previous [next_round], so the trace event carries this
      round's traffic rather than the running sum *)
@@ -79,7 +64,7 @@ let create ?(record_history = false) ?chaos ~model ~bits g =
     model;
     bits;
     record_history;
-    chaos;
+    wire = Wire.create ?chaos ~spanner:m_bits_spanner ~other:m_bits_other g;
     lagging = [];
     staged = Array.make n [];
     delivered = Array.make n [];
@@ -91,9 +76,6 @@ let create ?(record_history = false) ?chaos ~model ~bits g =
     congest_violations = 0;
     edge_round_bits = Array.make (max 1 (2 * Graph.m g)) 0;
     touched = [];
-    slot_bits = Array.make (max 1 (2 * Graph.m g)) 0;
-    slot_rounds = Array.make (max 1 (2 * Graph.m g)) 0;
-    skeleton = None;
     past_rounds = [];
     msg_mark = 0;
     bits_mark = 0;
@@ -101,39 +83,10 @@ let create ?(record_history = false) ?chaos ~model ~bits g =
 
 let graph net = net.g
 
-let set_skeleton net mask =
-  if Array.length mask <> Graph.m net.g then
-    invalid_arg
-      (Printf.sprintf "Net.set_skeleton: mask has %d slots for %d edges"
-         (Array.length mask) (Graph.m net.g));
-  net.skeleton <- Some mask
-
-let slot net ~src ~dst =
-  match Graph.find_edge net.g src dst with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Net.send: %d and %d are not adjacent" src dst)
-  | Some id ->
-      let dir = if src < dst then 0 else 1 in
-      ((2 * id) + dir, id, dir)
-
-(* One physical copy crossed the wire on slot [s]: the per-round load,
-   the run-long congestion accumulator and the skeleton attribution all
-   measure this — so duplicated copies count twice and a crashed
-   sender's message not at all, unlike the offered-load stats. *)
-let charge_wire net s b =
-  if net.edge_round_bits.(s) = 0 then net.touched <- s :: net.touched;
-  net.edge_round_bits.(s) <- net.edge_round_bits.(s) + b;
-  if net.edge_round_bits.(s) > net.max_edge_round_bits then
-    net.max_edge_round_bits <- net.edge_round_bits.(s);
-  net.slot_bits.(s) <- net.slot_bits.(s) + b;
-  match net.skeleton with
-  | None -> ()
-  | Some mask ->
-      Obs.Counter.add (if mask.(s / 2) then m_bits_spanner else m_bits_other) b
+let wire net = net.wire
 
 let transmit net ?cid ~src ~dst msg =
-  let s, _, _ = slot net ~src ~dst in
+  let s = Wire.slot net.g ~src ~dst in
   let b = net.bits msg in
   net.messages <- net.messages + 1;
   net.total_bits <- net.total_bits + b;
@@ -148,43 +101,28 @@ let transmit net ?cid ~src ~dst msg =
         net.congest_violations <- net.congest_violations + 1;
         Obs.Counter.incr m_violations
       end);
-  let tracing = Obs_trace.enabled () in
-  let cid =
-    match cid with
-    | Some c -> c
-    | None -> if tracing then Obs_trace.mint_cid () else -1
-  in
-  if tracing then
-    Obs_trace.emit
-      (Obs_trace.Msg_send
-         { cid; src; dst; at = float_of_int net.round; bits = b });
-  (* Fault injection sits between accounting (the offered load above is
-     what the algorithm sent) and delivery: each copy is independently
-     dropped, duplicated, or delayed by a bounded number of rounds. *)
-  (match net.chaos with
-  | None ->
-      charge_wire net s b;
-      net.staged.(dst) <- (src, cid, msg) :: net.staged.(dst)
-  | Some ch ->
-      if Chaos.crashed ch ~node:src ~time:(float_of_int net.round) then
-        (* never made it onto the wire: offered load only *)
-        Chaos.count_crash_drop ~cid ch ~src ~dst
-      else begin
-        let stage_copy () =
-          charge_wire net s b;
-          if not (Chaos.draw_drop ~cid ch ~src ~dst) then begin
-            match Chaos.draw_lag ~cid ch ~src ~dst with
-            | 0 -> net.staged.(dst) <- (src, cid, msg) :: net.staged.(dst)
-            | lag ->
-                (* countdown counts round transitions: on-time delivery
-                   consumes one, the lag adds [lag] more *)
-                net.lagging <- (lag + 1, src, dst, cid, msg) :: net.lagging
-          end
-        in
-        stage_copy ();
-        if Chaos.draw_dup ~cid ch ~src ~dst then stage_copy ()
-      end);
-  cid
+  (* The offered load above is what the algorithm sent; from here on the
+     wire decides each copy's fate.  This round's per-slot load counts
+     every copy that crossed, and a surviving copy is staged for the next
+     round or lags a bounded number of rounds behind it. *)
+  Wire.send net.wire ?cid ~slot:s ~src ~dst ~at:(float_of_int net.round)
+    ~bits:b
+    ~on_wire:(fun () ->
+      if net.edge_round_bits.(s) = 0 then net.touched <- s :: net.touched;
+      net.edge_round_bits.(s) <- net.edge_round_bits.(s) + b;
+      if net.edge_round_bits.(s) > net.max_edge_round_bits then
+        net.max_edge_round_bits <- net.edge_round_bits.(s))
+    (fun cid chaos ->
+      let lag =
+        match chaos with
+        | None -> 0
+        | Some ch -> Chaos.draw_lag ~cid ch ~src ~dst
+      in
+      if lag = 0 then net.staged.(dst) <- (src, cid, msg) :: net.staged.(dst)
+      else
+        (* countdown counts round transitions: on-time delivery consumes
+           one, the lag adds [lag] more *)
+        net.lagging <- (lag + 1, src, dst, cid, msg) :: net.lagging)
 
 let send net ~src ~dst msg = ignore (transmit net ~src ~dst msg)
 
@@ -196,7 +134,7 @@ let next_round net =
   net.delivered <- net.staged;
   Array.fill tmp 0 (Array.length tmp) [];
   net.staged <- tmp;
-  (match net.chaos with
+  (match Wire.chaos net.wire with
   | None -> ()
   | Some ch ->
       let now = float_of_int (net.round + 1) in
@@ -240,7 +178,7 @@ let next_round net =
   end;
   List.iter
     (fun s ->
-      net.slot_rounds.(s) <- net.slot_rounds.(s) + 1;
+      Wire.note_round net.wire s;
       Obs.Histogram.observe_int h_edge_round_load net.edge_round_bits.(s);
       net.edge_round_bits.(s) <- 0)
     net.touched;
@@ -262,29 +200,6 @@ let inbox net v = List.map (fun (src, _, msg) -> (src, msg)) net.delivered.(v)
 
 let inbox_cids net v =
   List.map (fun (src, cid, msg) -> (src, cid, msg)) net.delivered.(v)
-
-(* Top-K busiest directed slots over the whole run, by cumulative
-   physical bits (ties: smaller slot first — deterministic). *)
-let hot_edges ?(top = 10) net =
-  if top < 0 then invalid_arg "Net.hot_edges: top must be >= 0";
-  let loaded = ref [] in
-  Array.iteri
-    (fun s b -> if b > 0 then loaded := (s, b) :: !loaded)
-    net.slot_bits;
-  let sorted =
-    List.sort
-      (fun (s1, b1) (s2, b2) ->
-        if b1 <> b2 then compare b2 b1 else compare s1 s2)
-      !loaded
-  in
-  List.filteri (fun i _ -> i < top) sorted
-  |> List.map (fun (s, b) ->
-         {
-           he_edge = s / 2;
-           he_dir = s mod 2;
-           he_bits = b;
-           he_rounds = net.slot_rounds.(s);
-         })
 
 let charge_rounds net k =
   if k < 0 then invalid_arg "Net.charge_rounds: negative";

@@ -40,16 +40,6 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** One entry of the congestion leaderboard ({!hot_edges}). *)
-type hot_edge = {
-  he_edge : int;  (** edge id in the source graph *)
-  he_dir : int;  (** [0] when the sender is the edge's smaller endpoint *)
-  he_bits : int;  (** cumulative physical bits over the run *)
-  he_rounds : int;  (** rounds this directed slot carried traffic *)
-}
-
-val pp_hot_edge : Format.formatter -> hot_edge -> unit
-
 type 'msg t
 
 (** [create ~model ~bits g] builds an idle network over the topology [g].
@@ -62,7 +52,7 @@ type 'msg t
     {e offered} load — what the algorithm sent — so the algorithm-side
     counters of a fault-masked run match the fault-free run exactly.
     Per-edge congestion accounting ([max_edge_round_bits], {!history},
-    {!hot_edges} and the [net.edge_round_load] histogram) measures the
+    {!Wire.hot_edges} and the [net.edge_round_load] histogram) measures the
     {e physical} load: a chaos-duplicated copy charges its wire twice
     and a crashed sender's message never charges it.  Without a chaos
     plan the two coincide. *)
@@ -110,20 +100,11 @@ val inbox : 'msg t -> int -> (int * 'msg) list
     tracing was disabled and no explicit [cid] was given. *)
 val inbox_cids : 'msg t -> int -> (int * int * 'msg) list
 
-(** [set_skeleton net mask] arms spanner-vs-rest congestion attribution:
-    [mask] holds one flag per edge id of the topology ([true] = the edge
-    is in the spanner skeleton), and from then on every physical copy's
-    bits are added to the [net.bits.spanner] or [net.bits.other]
-    counter.  Raises [Invalid_argument] when [mask] doesn't have exactly
-    one slot per edge. *)
-val set_skeleton : 'msg t -> bool array -> unit
-
-(** [hot_edges ?top net] is the congestion leaderboard: the [top]
-    (default 10) busiest directed slots by cumulative physical bits over
-    the run so far, busiest first (ties broken toward the smaller edge
-    id — the order is deterministic).  Raises [Invalid_argument] on
-    negative [top]. *)
-val hot_edges : ?top:int -> 'msg t -> hot_edge list
+(** [wire net] is the network's {!Wire}: arm spanner-vs-rest attribution
+    with {!Wire.set_skeleton} (into [net.bits.spanner] /
+    [net.bits.other]) and read the congestion leaderboard, in physical
+    bits, with {!Wire.hot_edges}. *)
+val wire : 'msg t -> Wire.t
 
 (** [charge_rounds net k] advances the round counter by [k] without any
     message traffic — used to account for sub-protocols whose round cost

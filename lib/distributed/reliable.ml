@@ -1,9 +1,7 @@
 (* Stop-and-wait-per-packet reliability: every data packet carries a
-   per-directed-slot sequence number, the receiver acks every copy it
-   sees (acks are lossy too), the sender retransmits on timeout with
-   exponential backoff and gives up after [max_attempts].  Slot = directed
-   edge = [2 * edge_id + dir], the same indexing as {!Net}'s load
-   accounting. *)
+   per-directed-slot ({!Wire.slot}) sequence number, the receiver acks
+   every copy it sees (acks are lossy too), the sender retransmits on
+   timeout with exponential backoff and gives up after [max_attempts]. *)
 
 type 'msg packet = Data of { seq : int; payload : 'msg } | Ack of { seq : int }
 
@@ -17,8 +15,8 @@ let backoff attempts = min attempts 8
 
 (* Data-to-first-ack latency, in physical rounds (sync layer) or
    simulated seconds (Async): the service-level series the soak runs
-   watch.  Log-linear so p99/p999 stay honest under backoff tails. *)
-let h_rtt = Obs.histogram_log "reliable.rtt"
+   watch; backoff stretches its tail, which p99/p999 should show. *)
+let h_rtt = Obs.histogram "reliable.rtt"
 
 (* Unacked send window (both layers): a level, so a gauge — the soak
    runs watch it to see backlog building under loss. *)
@@ -59,19 +57,8 @@ type 'msg t = {
   mutable giveups : int;
 }
 
-let slot_of g ~src ~dst =
-  match Graph.find_edge g src dst with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Reliable.send: %d and %d are not adjacent" src dst)
-  | Some id -> (2 * id) + if src < dst then 0 else 1
-
 let create ?(record_history = false) ?chaos ~model ~bits g =
-  let chaos =
-    match chaos with
-    | Some plan when not (Chaos.is_silent plan) -> Some (Chaos.start plan)
-    | _ -> None
-  in
+  let chaos = Chaos.arm chaos in
   let lossy = chaos <> None in
   let packet_bits = function
     | Data { payload; _ } -> bits payload + if lossy then header_bits else 0
@@ -102,7 +89,7 @@ let send t ~src ~dst msg =
   match t.chaos with
   | None -> Net.send t.net ~src ~dst (Data { seq = 0; payload = msg })
   | Some _ ->
-      let slot = slot_of t.g ~src ~dst in
+      let slot = Wire.slot t.g ~src ~dst in
       let seq = t.next_seq.(slot) in
       t.next_seq.(slot) <- seq + 1;
       let cid = Net.transmit t.net ~src ~dst (Data { seq; payload = msg }) in
@@ -148,7 +135,7 @@ let harvest t =
                 t.outstanding
         | Data { seq; payload } ->
             Net.send t.net ~src:v ~dst:sender (Ack { seq });
-            let slot = slot_of t.g ~src:sender ~dst:v in
+            let slot = Wire.slot t.g ~src:sender ~dst:v in
             if not (Hashtbl.mem t.seen (slot, seq)) then begin
               Hashtbl.add t.seen (slot, seq) ();
               t.accum.(v) <- (sender, seq, payload) :: t.accum.(v)
@@ -248,11 +235,7 @@ module Async = struct
   }
 
   let create rng ?min_delay ?max_delay ?chaos g =
-    let chaos =
-      match chaos with
-      | Some plan when not (Chaos.is_silent plan) -> Some (Chaos.start plan)
-      | _ -> None
-    in
+    let chaos = Chaos.arm chaos in
     let anet = Async_net.create rng ?min_delay ?max_delay ?chaos g in
     {
       g;
@@ -273,7 +256,7 @@ module Async = struct
     match t.chaos with
     | None -> Async_net.send t.anet ~src ~dst handler
     | Some _ ->
-        let slot = slot_of t.g ~src ~dst in
+        let slot = Wire.slot t.g ~src ~dst in
         let seq = t.next_seq.(slot) in
         t.next_seq.(slot) <- seq + 1;
         let key = (slot, seq) in

@@ -16,9 +16,9 @@ let pp_report ppf r =
     r.survivors_connected r.retransmits
 
 (* Per-node pulse-to-pulse latency in simulated time: the α-synchronizer's
-   service-level series.  Log-linear: lossy runs stretch the tail with
-   retransmission backoff, which is exactly what p99/p999 should show. *)
-let h_round_latency = Obs.histogram_log "sync.round_latency"
+   service-level series.  Lossy runs stretch the tail with retransmission
+   backoff, which is exactly what p99/p999 should show. *)
+let h_round_latency = Obs.histogram "sync.round_latency"
 
 let run rng ?failures ?chaos ~pulses ~skeleton g =
   if pulses < 1 then invalid_arg "Synchronizer.run: pulses must be >= 1";
@@ -30,7 +30,7 @@ let run rng ?failures ?chaos ~pulses ~skeleton g =
   (* every synchronizer message travels a skeleton edge, but the
      attribution split still matters for mixed workloads sharing the
      net — and it lets the analyzer confirm exactly that *)
-  Async_net.set_skeleton net skeleton.Selection.selected;
+  Wire.set_skeleton (Async_net.wire net) skeleton.Selection.selected;
   (* Skeleton adjacency. *)
   let nbrs = Array.make n [] in
   List.iter

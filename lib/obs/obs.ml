@@ -122,26 +122,16 @@ module Timer = struct
 end
 
 module Histogram = struct
-  type scheme = Pow2 | Log_linear
-
-  (* Pow2: upper bounds 2^0 .. 2^30, plus one overflow bucket — the
-     right shape for the integer work counts (rounds, cut sizes, message
-     bits) the repo histograms.  Values <= 1 land in bucket 0. *)
-  let pow2_bounds = Array.init 31 (fun i -> Float.of_int (1 lsl i))
-
-  (* Log_linear: 9 linear sub-buckets per decade over 1e-7 .. 9e3 (HDR
-     style) plus one overflow bucket, so latency quantiles resolve to
-     ~11% anywhere from 100ns to hours while using 100 buckets. *)
-  let log_linear_bounds =
-    Array.init (11 * 9) (fun i ->
+  (* Log-linear (HDR style): 9 linear sub-buckets per decade over
+     1e-7 .. 9e9 plus one overflow bucket, so quantiles resolve to ~11%
+     anywhere from 100ns latencies to 10^9-bit edge loads; at integer
+     values the bounds are exact (1, 2, ..., 9, 10, 20, ...). *)
+  let bounds =
+    Array.init (17 * 9) (fun i ->
         let decade = (i / 9) - 7 and unit = (i mod 9) + 1 in
         Float.of_int unit *. (10. ** Float.of_int decade))
 
-  let bounds_of = function
-    | Pow2 -> pow2_bounds
-    | Log_linear -> log_linear_bounds
-
-  let nbuckets_of scheme = Array.length (bounds_of scheme) + 1
+  let nbuckets = Array.length bounds + 1
 
   type shard = {
     mutable count : int;
@@ -151,14 +141,13 @@ module Histogram = struct
     buckets : int array;
   }
 
-  type t = { name : string; scheme : scheme; shards : shard Shards.t }
+  type t = { name : string; shards : shard Shards.t }
 
   let name h = h.name
 
-  let make name scheme =
+  let make name =
     {
       name;
-      scheme;
       shards =
         Shards.create (fun () ->
             {
@@ -166,14 +155,14 @@ module Histogram = struct
               sum = 0.;
               min = 0.;
               max = 0.;
-              buckets = Array.make (nbuckets_of scheme) 0;
+              buckets = Array.make nbuckets 0;
             });
     }
 
   (* First bucket whose inclusive upper bound covers [v]; the last
-     bucket is the overflow (+inf).  Binary search: both bound arrays
-     are sorted and small. *)
-  let bucket_of bounds v =
+     bucket is the overflow (+inf).  Binary search over the sorted
+     bounds. *)
+  let bucket_of v =
     let n = Array.length bounds in
     if v <= bounds.(0) then 0
     else if v > bounds.(n - 1) then n
@@ -194,7 +183,7 @@ module Histogram = struct
       if s.count = 0 || v > s.max then s.max <- v;
       s.count <- s.count + 1;
       s.sum <- s.sum +. v;
-      let b = bucket_of (bounds_of h.scheme) v in
+      let b = bucket_of v in
       s.buckets.(b) <- s.buckets.(b) + 1
     end
 
@@ -209,7 +198,7 @@ module Histogram = struct
         sum = 0.;
         min = 0.;
         max = 0.;
-        buckets = Array.make (nbuckets_of h.scheme) 0;
+        buckets = Array.make nbuckets 0;
       }
     in
     Shards.iter
@@ -233,7 +222,7 @@ module Histogram = struct
      rank-th observation and report its upper bound, clamped into the
      observed [min, max] envelope (which makes the one-sample and
      overflow-bucket answers exact). *)
-  let quantile_of_merged bounds m q =
+  let quantile_of_merged m q =
     if m.count = 0 then 0.
     else begin
       let rank =
@@ -258,7 +247,7 @@ module Histogram = struct
   let quantile h q =
     if not (Float.is_finite q) || q < 0. || q > 1. then
       invalid_arg "Obs.Histogram.quantile: q must be in [0,1]";
-    quantile_of_merged (bounds_of h.scheme) (merged h) q
+    quantile_of_merged (merged h) q
 
   let reset h =
     Shards.iter
@@ -415,20 +404,13 @@ let gauge name =
     (function M_gauge g -> Some g | _ -> None)
     "gauge"
 
-let histogram_scheme scheme kind name =
+let histogram name =
   register name
     (fun () ->
-      let h = Histogram.make name scheme in
+      let h = Histogram.make name in
       (h, M_histogram h))
-    (function
-      | M_histogram h when h.Histogram.scheme = scheme -> Some h
-      | _ -> None)
-    kind
-
-let histogram name = histogram_scheme Histogram.Pow2 "pow2 histogram" name
-
-let histogram_log name =
-  histogram_scheme Histogram.Log_linear "log-linear histogram" name
+    (function M_histogram h -> Some h | _ -> None)
+    "histogram"
 
 (* ----------------------------- snapshot ----------------------------- *)
 
@@ -460,7 +442,7 @@ let quantile_points = [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99); ("p999", 0.99
 
 let view_histogram (h : Histogram.t) =
   let m = Histogram.merged h in
-  let bounds = Histogram.bounds_of h.Histogram.scheme in
+  let bounds = Histogram.bounds in
   let buckets = ref [] in
   for i = Array.length m.Histogram.buckets - 1 downto 0 do
     if m.Histogram.buckets.(i) > 0 then begin
@@ -480,7 +462,7 @@ let view_histogram (h : Histogram.t) =
       (if m.Histogram.count = 0 then []
        else
          List.map
-           (fun (label, q) -> (label, Histogram.quantile_of_merged bounds m q))
+           (fun (label, q) -> (label, Histogram.quantile_of_merged m q))
            quantile_points);
   }
 

@@ -107,16 +107,15 @@ end
 val gauge : string -> Gauge.t
 
 module Histogram : sig
-  (** A named distribution: count/sum/min/max plus one of two bucket
-      layouts, sharded per domain like {!Timer}.
+  (** A named distribution: count/sum/min/max plus log-linear buckets,
+      sharded per domain like {!Timer}.
 
-      - {b pow2} ({!Obs.histogram}): upper bounds 1, 2, 4, ..., 2^30,
-        +inf — the right shape for integer work counts (BFS rounds, cut
-        sizes, message bits), which span orders of magnitude.
-      - {b log-linear} ({!Obs.histogram_log}): 9 linear sub-buckets per
-        decade over 1e-7 .. 9e3 plus +inf (HDR-histogram style), the
-        right shape for latencies in seconds — every bucket is within
-        ~11% of its bound, so tail quantiles stay honest. *)
+      One layout serves every series: 9 linear sub-buckets per decade
+      over 1e-7 .. 9e9 plus +inf (HDR-histogram style).  Every bucket is
+      within ~11% of its bound, so tail quantiles stay honest for
+      latencies in seconds and integer work counts (BFS rounds, cut
+      sizes, message bits, per-edge loads) alike; at integers the bounds
+      are exact (1, 2, ..., 9, 10, 20, ...). *)
   type t
 
   val name : t -> string
@@ -134,15 +133,9 @@ module Histogram : sig
   val quantile : t -> float -> float
 end
 
-(** [histogram name] registers (or retrieves) the power-of-two-bucketed
-    histogram [name].  Raises [Invalid_argument] if [name] is registered
-    as another kind {e or} as a histogram with the other bucket
-    layout. *)
+(** [histogram name] registers (or retrieves) the histogram [name]; same
+    registry rules as {!counter}. *)
 val histogram : string -> Histogram.t
-
-(** [histogram_log name] is the log-linear (latency) flavour; same
-    registry rules as {!histogram}. *)
-val histogram_log : string -> Histogram.t
 
 (** [with_span name f] runs [f ()] inside a span: a named, nestable timing
     scope.  Spans with the same name under the same parent are merged

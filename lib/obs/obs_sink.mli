@@ -15,14 +15,21 @@
           "histograms": { "name": { "count": 9, "sum": 41.0,
                                     "min": 1.0, "max": 16.0,
                                     "buckets": [ { "le": 1.0, "count": 2 },
-                                                 { "le": null, "count": 1 } ] } },
+                                                 { "le": 3.0, "count": 2 },
+                                                 { "le": 4.0, "count": 3 },
+                                                 { "le": 5.0, "count": 1 },
+                                                 { "le": 20.0, "count": 1 }
+                                               ] } },
           "spans": [ { "name": "poly_greedy.build", "count": 5,
                        "total_s": 1.1, "children": [ ... ] } ] } ] }
     v}
 
-    A bucket's ["le"] is its inclusive upper bound; [null] marks the
-    overflow bucket.  The third sink — the null sink — is not here: it is
-    [Obs.set_enabled false], which stops collection at the source. *)
+    Every histogram has the one {!Obs.Histogram} layout: 9 log-linear
+    sub-buckets per decade over 1e-7 .. 9e9, so the sample 16 above lands
+    in ["le": 20.0].  A bucket's ["le"] is its inclusive upper bound;
+    [null] marks the overflow bucket above 9e9.  The third sink — the
+    null sink — is not here: it is [Obs.set_enabled false], which stops
+    collection at the source. *)
 
 (** One measured unit of work (an experiment, a CLI invocation). *)
 type entry = { id : string; wall_s : float; snap : Obs.snapshot }

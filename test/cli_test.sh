@@ -87,6 +87,12 @@ done
   | grep -q "OK" || fail "verify -j 2"
 "$BIN" build -k 2 -f 1 --jobs 0 "$TMP/g.graph" >/dev/null 2>&1 \
   && fail "jobs=0 accepted"
+# a pool is opened only for the algorithms that use one: the sequential
+# greedy starts no workers (no per-worker busy timer), dk11 does
+"$BIN" build -k 2 -f 1 --algo greedy-poly -j 4 --metrics=json "$TMP/g.graph" \
+  | grep -q '"pool.busy.1"' && fail "greedy-poly -j 4 must not open a pool"
+"$BIN" build -k 2 -f 1 --algo dk11 -j 4 --metrics=json "$TMP/g.graph" \
+  | grep -q '"pool.busy.1"' || fail "dk11 -j 4 must fan out over a pool"
 # the batched and sharded builds are gone: their flags are unknown
 "$BIN" build -k 2 -f 1 --batch 64 "$TMP/g.graph" >/dev/null 2>&1 \
   && fail "build must reject --batch"

@@ -139,6 +139,57 @@ let test_crash_window () =
 
 (* ------------------------ physical congestion ------------------------- *)
 
+(* Both simulators charge one shared wire: [sims] drives each the same
+   way, so every congestion test below runs on Net and on Async_net.
+   [send] offers one message, [settle] delivers everything offered so
+   far (one round / the whole event queue), and the physical unit of a
+   copy is 4 bits on Net and one message on Async_net. *)
+type driver = {
+  send : src:int -> dst:int -> unit;
+  settle : unit -> unit;
+  wire : Wire.t;
+}
+
+type sim = {
+  label : string;
+  unit_load : int;  (* physical load of one copy *)
+  round_cost : int;  (* he_rounds after one busy round *)
+  split : string * string;  (* skeleton attribution counters *)
+  make : Chaos.state option -> Graph.t -> driver;
+}
+
+let sims =
+  [
+    {
+      label = "net";
+      unit_load = 4;
+      round_cost = 1;
+      split = ("net.bits.spanner", "net.bits.other");
+      make =
+        (fun chaos g ->
+          let net = Net.create ?chaos ~model:Net.Local ~bits:(fun _ -> 4) g in
+          {
+            send = (fun ~src ~dst -> Net.send net ~src ~dst ());
+            settle = (fun () -> Net.next_round net);
+            wire = Net.wire net;
+          });
+    };
+    {
+      label = "async";
+      unit_load = 1;
+      round_cost = 0;
+      split = ("net.msgs.spanner", "net.msgs.other");
+      make =
+        (fun chaos g ->
+          let net = Async_net.create (Rng.create ~seed:3) ?chaos g in
+          {
+            send = (fun ~src ~dst -> Async_net.send net ~src ~dst ignore);
+            settle = (fun () -> ignore (Async_net.run net));
+            wire = Async_net.wire net;
+          });
+    };
+  ]
+
 let test_congestion_counts_duplicates () =
   (* dup=1.0 doubles every physical copy: the busiest per-edge-per-round
      load is exactly twice the clean run's, while offered load matches *)
@@ -161,11 +212,6 @@ let test_congestion_counts_duplicates () =
   checki "clean busiest slot: 5 msgs x 4 bits" 20 sc.Net.max_edge_round_bits;
   checki "dup'd copies charge the wire twice" 40 sd.Net.max_edge_round_bits;
   checki "offered bits identical" sc.Net.total_bits sd.Net.total_bits;
-  (match Net.hot_edges dup with
-  | he :: _ ->
-      checki "leaderboard carries the doubled load" 40 he.Net.he_bits;
-      checki "slot busy for one round" 1 he.Net.he_rounds
-  | [] -> Alcotest.fail "no hot edges");
   (* a crashed sender's message never touches the wire *)
   let g = Generators.path 2 in
   let ch = Chaos.start (Chaos.plan ~crashes:[ (0, 0., 10.) ] ()) in
@@ -173,7 +219,33 @@ let test_congestion_counts_duplicates () =
   Net.send net ~src:0 ~dst:1 0;
   Net.next_round net;
   checki "crashed sender charges nothing" 0
-    (Net.stats net).Net.max_edge_round_bits
+    (Net.stats net).Net.max_edge_round_bits;
+  (* the run-long leaderboard, on both simulators *)
+  List.iter
+    (fun sim ->
+      let flood chaos =
+        let d = sim.make chaos (Generators.path 2) in
+        for _ = 1 to 5 do
+          d.send ~src:0 ~dst:1
+        done;
+        d.settle ();
+        Wire.hot_edges d.wire
+      in
+      let check_load what load = function
+        | [ he ] ->
+            checki (sim.label ^ ": " ^ what) load he.Wire.he_bits;
+            checki (sim.label ^ ": busy rounds") sim.round_cost
+              he.Wire.he_rounds
+        | _ -> Alcotest.fail (sim.label ^ ": expected one hot slot")
+      in
+      check_load "clean load" (5 * sim.unit_load) (flood None);
+      check_load "dup'd copies charge the wire twice" (10 * sim.unit_load)
+        (flood (Some (Chaos.start (Chaos.plan ~dup:1.0 ()))));
+      checki (sim.label ^ ": crashed sender charges nothing") 0
+        (List.length
+           (flood
+              (Some (Chaos.start (Chaos.plan ~crashes:[ (0, 0., 10.) ] ()))))))
+    sims
 
 let test_congestion_seeded_replay () =
   let run () =
@@ -188,35 +260,61 @@ let test_congestion_seeded_replay () =
       done;
       Net.next_round net
     done;
-    ((Net.stats net).Net.max_edge_round_bits, Net.hot_edges net)
+    ((Net.stats net).Net.max_edge_round_bits, Wire.hot_edges (Net.wire net))
   in
   let m1, h1 = run () in
   let m2, h2 = run () in
   checki "max_edge_round_bits identical across replays" m1 m2;
   checkb "hot-edge leaderboard identical" true (h1 = h2);
-  checkb "faults actually moved the physical load" true (m1 > 0)
+  checkb "faults actually moved the physical load" true (m1 > 0);
+  List.iter
+    (fun sim ->
+      let run () =
+        let plan =
+          Chaos.plan ~drop:0.3 ~dup:0.3 ~reorder:2 ~spike:0.3 ~seed:21 ()
+        in
+        let d = sim.make (Some (Chaos.start plan)) (Generators.complete 5) in
+        for _ = 0 to 9 do
+          for src = 0 to 4 do
+            for dst = 0 to 4 do
+              if dst <> src then d.send ~src ~dst
+            done
+          done;
+          d.settle ()
+        done;
+        Wire.hot_edges ~top:20 d.wire
+      in
+      let h1 = run () in
+      checkb (sim.label ^ ": leaderboard identical across replays") true
+        (h1 = run ());
+      checki (sim.label ^ ": every directed slot loaded") 20 (List.length h1))
+    sims
 
 let test_congestion_skeleton_attribution () =
   Obs.set_enabled true;
-  Obs.reset ();
-  let g = Generators.path 3 in
-  (* edge 0 = {0,1} in the skeleton, edge 1 = {1,2} outside it *)
-  let net = Net.create ~model:Net.Local ~bits:(fun _ -> 4) g in
-  Net.set_skeleton net [| true; false |];
-  for _ = 1 to 3 do
-    Net.send net ~src:0 ~dst:1 0
-  done;
-  Net.send net ~src:1 ~dst:2 0;
-  Net.next_round net;
-  checki "skeleton-edge bits attributed" 12
-    (Obs.Counter.value (Obs.counter "net.bits.spanner"));
-  checki "off-skeleton bits attributed" 4
-    (Obs.Counter.value (Obs.counter "net.bits.other"));
-  checkb "size mismatch rejected" true
-    (try
-       Net.set_skeleton net [| true |];
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun sim ->
+      Obs.reset ();
+      let g = Generators.path 3 in
+      (* edge 0 = {0,1} in the skeleton, edge 1 = {1,2} outside it *)
+      let d = sim.make None g in
+      Wire.set_skeleton d.wire [| true; false |];
+      for _ = 1 to 3 do
+        d.send ~src:0 ~dst:1
+      done;
+      d.send ~src:1 ~dst:2;
+      d.settle ();
+      let spanner, other = sim.split in
+      checki (spanner ^ " attributed") (3 * sim.unit_load)
+        (Obs.Counter.value (Obs.counter spanner));
+      checki (other ^ " attributed") sim.unit_load
+        (Obs.Counter.value (Obs.counter other));
+      checkb (sim.label ^ ": size mismatch rejected") true
+        (try
+           Wire.set_skeleton d.wire [| true |];
+           false
+         with Invalid_argument _ -> true))
+    sims
 
 (* ----------------------------- spec grammar --------------------------- *)
 

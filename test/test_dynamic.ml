@@ -214,7 +214,7 @@ let run_random_script ~mode (seed, n, ops) =
   d
 
 let prop_random_scripts mode name =
-  QCheck.Test.make ~count:40 ~name arb_ops (fun case ->
+  QCheck.Test.make ~long_factor:40 ~count:40 ~name arb_ops (fun case ->
       let d = run_random_script ~mode case in
       let sel = Dynamic.snapshot d in
       Verify.ok (Verify.exhaustive sel ~mode ~stretch:3.0 ~f:1))
@@ -233,7 +233,7 @@ let prop_shed_keeps_validity =
      leaves from the same state.  The end-state "never larger than an
      unshed handle" claim is false (the histories diverge) and is not
      asserted.  The final selection is checked exhaustively. *)
-  QCheck.Test.make ~count:25 ~name:"dynamic: shed pass sound and never grows"
+  QCheck.Test.make ~long_factor:40 ~count:25 ~name:"dynamic: shed pass sound and never grows"
     arb_ops (fun (_seed, n, ops) ->
       let d = dyn ~mode:Fault.VFT ~k:2 ~f:1 n in
       let live = Hashtbl.create 16 in

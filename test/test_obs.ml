@@ -118,13 +118,14 @@ let test_histogram () =
   let view = List.assoc "test.hist" snap.Obs.histograms in
   checkf "min" 1.0 view.Obs.h_min;
   checkf "max" 100.0 view.Obs.h_max;
-  (* power-of-two buckets: 1 -> le 1, 3;3 -> le 4, 100 -> le 128 *)
+  (* log-linear bounds are exact at integers: 1 -> le 1, 3;3 -> le 3,
+     100 -> le 100 *)
   let bucket le =
     try List.assoc le view.Obs.h_buckets with Not_found -> 0
   in
   checki "bucket le=1" 1 (bucket (Some 1.0));
-  checki "bucket le=4" 2 (bucket (Some 4.0));
-  checki "bucket le=128" 1 (bucket (Some 128.0));
+  checki "bucket le=3" 2 (bucket (Some 3.0));
+  checki "bucket le=100" 1 (bucket (Some 100.0));
   checki "bucket counts total" 4
     (List.fold_left (fun acc (_, c) -> acc + c) 0 view.Obs.h_buckets)
 
@@ -134,22 +135,30 @@ let test_histogram_overflow () =
   Obs.Histogram.observe h 1e12;
   let snap = Obs.snapshot () in
   let view = List.assoc "test.hist_over" snap.Obs.histograms in
-  checki "overflow bucket" 1 (List.assoc None view.Obs.h_buckets)
+  checki "overflow bucket" 1 (List.assoc None view.Obs.h_buckets);
+  (* a 93 120-bit edge-round load (seen on smoke-distributed) is inside
+     the bounds: it gets a finite bucket and an honest p99 *)
+  let h = Obs.histogram "test.hist_load" in
+  Obs.Histogram.observe_int h 93_120;
+  Obs.Histogram.observe_int h 1;
+  let view = List.assoc "test.hist_load" (Obs.snapshot ()).Obs.histograms in
+  checki "finite bucket le=1e5" 1 (List.assoc (Some 1e5) view.Obs.h_buckets);
+  checkb "no overflow" false (List.mem_assoc None view.Obs.h_buckets)
 
 (* ------------------------- quantiles --------------------------------- *)
 
 let test_quantile_edges () =
   fresh ();
-  let empty = Obs.histogram_log "test.q_empty" in
+  let empty = Obs.histogram "test.q_empty" in
   checkf "empty histogram -> 0" 0.0 (Obs.Histogram.quantile empty 0.99);
-  let one = Obs.histogram_log "test.q_one" in
+  let one = Obs.histogram "test.q_one" in
   Obs.Histogram.observe one 0.125;
   (* a single sample is every quantile, exactly: the covering bucket's
      upper bound is clamped into [min, max] = [0.125, 0.125] *)
   List.iter
     (fun q -> checkf "one sample" 0.125 (Obs.Histogram.quantile one q))
     [ 0.0; 0.5; 0.99; 1.0 ];
-  let over = Obs.histogram_log "test.q_over" in
+  let over = Obs.histogram "test.q_over" in
   Obs.Histogram.observe over 1e12;
   (* the overflow bucket has no upper bound; the max makes it exact *)
   checkf "overflow sample" 1e12 (Obs.Histogram.quantile over 0.5);
@@ -161,7 +170,7 @@ let test_quantile_edges () =
 
 let test_quantile_order () =
   fresh ();
-  let h = Obs.histogram_log "test.q_order" in
+  let h = Obs.histogram "test.q_order" in
   (* 100 samples spread over three decades: quantiles must be monotone in
      q and bracketed by the extremes *)
   for i = 1 to 100 do
@@ -177,16 +186,16 @@ let test_quantile_order () =
   (* log-linear buckets are decade-relative: the p50 estimate must land
      within one sub-bucket (~11%) of the true median 0.050 *)
   checkb "p50 near true median" true (q50 >= 0.045 && q50 <= 0.06);
-  (* pow2 histograms answer quantiles too *)
-  let p = Obs.histogram "test.q_pow2" in
+  (* integer work counts resolve exactly below 10 and to one sub-bucket
+     above: rank 3 of 5 is the sample 3, rank 5 the sample 100 *)
+  let p = Obs.histogram "test.q_int" in
   List.iter (Obs.Histogram.observe_int p) [ 1; 2; 3; 4; 100 ];
-  checkb "pow2 p50 in [2,4]" true
-    (let v = Obs.Histogram.quantile p 0.5 in
-     v >= 2.0 && v <= 4.0)
+  checkf "integer p50" 3.0 (Obs.Histogram.quantile p 0.5);
+  checkf "integer p90" 100.0 (Obs.Histogram.quantile p 0.9)
 
 let test_quantiles_in_snapshot () =
   fresh ();
-  let h = Obs.histogram_log "test.q_snap" in
+  let h = Obs.histogram "test.q_snap" in
   Obs.Histogram.observe h 0.25;
   let snap = Obs.snapshot () in
   let view = List.assoc "test.q_snap" snap.Obs.histograms in
@@ -332,15 +341,15 @@ let test_json_roundtrip () =
   checkf "histogram sum" 6.0
     (get_exn "hs"
        (Obs_json.to_number (member [ "histograms"; "rt.hist"; "sum" ] e)));
-  (* bucket for 6 is le=8 *)
+  (* bucket for 6 is le=6 *)
   let buckets =
     get_exn "buckets"
       (Obs_json.to_list (member [ "histograms"; "rt.hist"; "buckets" ] e))
   in
-  checkb "le=8 bucket present" true
+  checkb "le=6 bucket present" true
     (List.exists
        (fun b ->
-         Obs_json.to_number (member [ "le" ] b) = Some 8.0
+         Obs_json.to_number (member [ "le" ] b) = Some 6.0
          && Obs_json.to_int (member [ "count" ] b) = Some 1)
        buckets);
   (* span tree nests in the JSON too *)
@@ -948,7 +957,7 @@ let test_heartbeat_stream () =
       | Ok spec -> Obs_heartbeat.start spec
       | Error msg -> Alcotest.failf "spec rejected: %s" msg);
       let c = Obs.counter "test.hb_counter" in
-      let h = Obs.histogram_log "test.hb_lat" in
+      let h = Obs.histogram "test.hb_lat" in
       for i = 1 to 35 do
         Obs.Counter.incr c;
         Obs.Histogram.observe h (0.001 *. float_of_int i);

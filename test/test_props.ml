@@ -25,7 +25,7 @@ let weighted_graph_of (seed, n, p) =
 (* --------------------------- properties ------------------------------ *)
 
 let prop_bfs_dist_matches_path_hops =
-  QCheck.Test.make ~count:60 ~name:"bfs: extracted path length = distance"
+  QCheck.Test.make ~long_factor:40 ~count:60 ~name:"bfs: extracted path length = distance"
     arb_graph_desc (fun desc ->
       let g = graph_of desc in
       let n = Graph.n g in
@@ -42,7 +42,7 @@ let prop_bfs_dist_matches_path_hops =
       !ok)
 
 let prop_dijkstra_triangle_inequality =
-  QCheck.Test.make ~count:40 ~name:"dijkstra: distances satisfy triangle inequality"
+  QCheck.Test.make ~long_factor:40 ~count:40 ~name:"dijkstra: distances satisfy triangle inequality"
     arb_graph_desc (fun desc ->
       let g = weighted_graph_of desc in
       let n = Graph.n g in
@@ -55,7 +55,7 @@ let prop_dijkstra_triangle_inequality =
       !ok)
 
 let prop_dijkstra_vs_bfs_unit =
-  QCheck.Test.make ~count:40 ~name:"dijkstra = bfs on unit weights" arb_graph_desc
+  QCheck.Test.make ~long_factor:40 ~count:40 ~name:"dijkstra = bfs on unit weights" arb_graph_desc
     (fun desc ->
       let g = graph_of desc in
       let db = Bfs.distances g 0 in
@@ -69,7 +69,7 @@ let prop_dijkstra_vs_bfs_unit =
       !ok)
 
 let prop_lbc_yes_certificate =
-  QCheck.Test.make ~count:60 ~name:"lbc: YES certificate is a genuine cut"
+  QCheck.Test.make ~long_factor:40 ~count:60 ~name:"lbc: YES certificate is a genuine cut"
     (QCheck.pair arb_graph_desc (QCheck.make QCheck.Gen.(int_bound 1000)))
     (fun (desc, pick) ->
       let g = graph_of desc in
@@ -85,7 +85,7 @@ let prop_lbc_yes_certificate =
           [ Fault.VFT; Fault.EFT ])
 
 let prop_lbc_gap_theorem4 =
-  QCheck.Test.make ~count:50 ~name:"lbc: Theorem 4 gap promise" arb_graph_desc
+  QCheck.Test.make ~long_factor:40 ~count:50 ~name:"lbc: Theorem 4 gap promise" arb_graph_desc
     (fun desc ->
       let g = graph_of desc in
       let n = Graph.n g in
@@ -103,7 +103,7 @@ let prop_lbc_gap_theorem4 =
       | Lbc.No _ -> true)
 
 let prop_poly_greedy_spanner_under_random_faults =
-  QCheck.Test.make ~count:25 ~name:"poly greedy: sampled fault sets never violated"
+  QCheck.Test.make ~long_factor:40 ~count:25 ~name:"poly greedy: sampled fault sets never violated"
     arb_graph_desc (fun desc ->
       let g = graph_of desc in
       let sel = Poly_greedy.build ~mode:Fault.VFT ~k:2 ~f:1 g in
@@ -113,7 +113,7 @@ let prop_poly_greedy_spanner_under_random_faults =
            (Verify.adversarial ~cfg:(Verify.config ~rng:r ~trials:20 ()) sel ~mode:Fault.VFT ~stretch:3.0 ~f:1))
 
 let prop_poly_greedy_exhaustive_f1 =
-  QCheck.Test.make ~count:12 ~name:"poly greedy: exhaustive f=1 VFT"
+  QCheck.Test.make ~long_factor:40 ~count:12 ~name:"poly greedy: exhaustive f=1 VFT"
     arb_graph_desc (fun desc ->
       let seed, n, p = desc in
       let g = graph_of (seed, min n 13, p) in
@@ -121,7 +121,7 @@ let prop_poly_greedy_exhaustive_f1 =
       Verify.ok (Verify.exhaustive sel ~mode:Fault.VFT ~stretch:3.0 ~f:1))
 
 let prop_poly_greedy_weighted_exhaustive =
-  QCheck.Test.make ~count:10 ~name:"poly greedy: weighted exhaustive f=1 (Thm 10)"
+  QCheck.Test.make ~long_factor:40 ~count:10 ~name:"poly greedy: weighted exhaustive f=1 (Thm 10)"
     arb_graph_desc (fun desc ->
       let seed, n, p = desc in
       let g = weighted_graph_of (seed, min n 12, p) in
@@ -129,7 +129,7 @@ let prop_poly_greedy_weighted_exhaustive =
       Verify.ok (Verify.exhaustive sel ~mode:Fault.VFT ~stretch:3.0 ~f:1))
 
 let prop_poly_greedy_eft_exhaustive =
-  QCheck.Test.make ~count:8 ~name:"poly greedy: exhaustive f=1 EFT" arb_graph_desc
+  QCheck.Test.make ~long_factor:40 ~count:8 ~name:"poly greedy: exhaustive f=1 EFT" arb_graph_desc
     (fun desc ->
       let seed, n, p = desc in
       let g = graph_of (seed, min n 11, p) in
@@ -138,7 +138,7 @@ let prop_poly_greedy_eft_exhaustive =
         (Verify.exhaustive ~cfg:(Verify.config ~max_sets:1e5 ()) sel ~mode:Fault.EFT ~stretch:3.0 ~f:1))
 
 let prop_classic_greedy_girth =
-  QCheck.Test.make ~count:30 ~name:"classic greedy: girth > 2k" arb_graph_desc
+  QCheck.Test.make ~long_factor:40 ~count:30 ~name:"classic greedy: girth > 2k" arb_graph_desc
     (fun desc ->
       let g = graph_of desc in
       List.for_all
@@ -149,7 +149,7 @@ let prop_classic_greedy_girth =
         [ 2; 3 ])
 
 let prop_exp_greedy_subset_check =
-  QCheck.Test.make ~count:10 ~name:"exp greedy: exhaustive f=1 on small graphs"
+  QCheck.Test.make ~long_factor:40 ~count:10 ~name:"exp greedy: exhaustive f=1 on small graphs"
     arb_graph_desc (fun desc ->
       let seed, n, p = desc in
       let g = graph_of (seed, min n 11, p) in
@@ -157,7 +157,7 @@ let prop_exp_greedy_subset_check =
       Verify.ok (Verify.exhaustive sel ~mode:Fault.VFT ~stretch:3.0 ~f:1))
 
 let prop_greedy_poly_never_sparser_than_exp_intuition =
-  QCheck.Test.make ~count:12
+  QCheck.Test.make ~long_factor:40 ~count:12
     ~name:"poly greedy adds whenever exp greedy must (per-instance size sanity)"
     arb_graph_desc (fun desc ->
       let seed, n, p = desc in
@@ -170,7 +170,7 @@ let prop_greedy_poly_never_sparser_than_exp_intuition =
       poly >= Graph.n g - 1 || poly >= ex || Graph.m g < Graph.n g - 1)
 
 let prop_baswana_sen_valid =
-  QCheck.Test.make ~count:20 ~name:"baswana-sen: always a (2k-1)-spanner"
+  QCheck.Test.make ~long_factor:40 ~count:20 ~name:"baswana-sen: always a (2k-1)-spanner"
     (QCheck.pair arb_graph_desc (QCheck.make QCheck.Gen.(int_range 1 3)))
     (fun (desc, k) ->
       let g = weighted_graph_of desc in
@@ -181,7 +181,7 @@ let prop_baswana_sen_valid =
            ~f:0))
 
 let prop_selection_union_commutes =
-  QCheck.Test.make ~count:40 ~name:"selection: union is commutative and idempotent"
+  QCheck.Test.make ~long_factor:40 ~count:40 ~name:"selection: union is commutative and idempotent"
     (QCheck.triple arb_graph_desc (QCheck.make QCheck.Gen.(int_bound 1000))
        (QCheck.make QCheck.Gen.(int_bound 1000)))
     (fun (desc, a, b) ->
@@ -196,7 +196,7 @@ let prop_selection_union_commutes =
       end)
 
 let prop_subgraph_induced_edge_count =
-  QCheck.Test.make ~count:40 ~name:"subgraph: induced edges = edges with both ends kept"
+  QCheck.Test.make ~long_factor:40 ~count:40 ~name:"subgraph: induced edges = edges with both ends kept"
     (QCheck.pair arb_graph_desc (QCheck.make QCheck.Gen.(int_bound 1_000_000)))
     (fun (desc, mask_seed) ->
       let g = graph_of desc in
@@ -210,7 +210,7 @@ let prop_subgraph_induced_edge_count =
       Graph.m sub.Subgraph.graph = expected)
 
 let prop_fault_enumerate_size_bound =
-  QCheck.Test.make ~count:30 ~name:"fault: enumeration respects the size bound"
+  QCheck.Test.make ~long_factor:40 ~count:30 ~name:"fault: enumeration respects the size bound"
     (QCheck.pair arb_graph_desc (QCheck.make QCheck.Gen.(int_range 0 2)))
     (fun (desc, f) ->
       let seed, n, p = desc in
@@ -225,7 +225,7 @@ let prop_fault_enumerate_size_bound =
          < 0.5)
 
 let prop_verify_full_graph_is_1_spanner =
-  QCheck.Test.make ~count:20 ~name:"verify: G is a 1-spanner of itself under faults"
+  QCheck.Test.make ~long_factor:40 ~count:20 ~name:"verify: G is a 1-spanner of itself under faults"
     arb_graph_desc (fun desc ->
       let g = weighted_graph_of desc in
       let sel = Selection.full g in
@@ -234,7 +234,7 @@ let prop_verify_full_graph_is_1_spanner =
       && Verify.ok (Verify.random ~cfg:(Verify.config ~rng:r ~trials:15 ()) sel ~mode:Fault.EFT ~stretch:1.0 ~f:2))
 
 let prop_girth_consistency =
-  QCheck.Test.make ~count:40 ~name:"girth: girth_exceeds consistent with girth"
+  QCheck.Test.make ~long_factor:40 ~count:40 ~name:"girth: girth_exceeds consistent with girth"
     arb_graph_desc (fun desc ->
       let g = graph_of desc in
       match Girth.girth g with
@@ -244,7 +244,7 @@ let prop_girth_consistency =
           && not (Girth.girth_exceeds g ~bound:girth))
 
 let prop_io_round_trip =
-  QCheck.Test.make ~count:30 ~name:"graph_io: parse . print = id" arb_graph_desc
+  QCheck.Test.make ~long_factor:40 ~count:30 ~name:"graph_io: parse . print = id" arb_graph_desc
     (fun desc ->
       let g = weighted_graph_of desc in
       let h = Graph_io.of_string (Graph_io.to_string g) in
@@ -257,7 +257,7 @@ let prop_io_round_trip =
              | None -> false))
 
 let prop_local_spanner_valid =
-  QCheck.Test.make ~count:8 ~name:"local spanner: sampled faults never violated"
+  QCheck.Test.make ~long_factor:40 ~count:8 ~name:"local spanner: sampled faults never violated"
     arb_graph_desc (fun desc ->
       let seed, n, p = desc in
       let g = graph_of (seed, max 10 n, p) in
@@ -268,7 +268,7 @@ let prop_local_spanner_valid =
            ~stretch:3.0 ~f:1))
 
 let prop_congest_bs_valid =
-  QCheck.Test.make ~count:10 ~name:"congest baswana-sen: always a (2k-1)-spanner"
+  QCheck.Test.make ~long_factor:40 ~count:10 ~name:"congest baswana-sen: always a (2k-1)-spanner"
     arb_graph_desc (fun desc ->
       let g = weighted_graph_of desc in
       let res = Congest_bs.build (seeded_rng 13) ~k:2 g in
@@ -277,7 +277,7 @@ let prop_congest_bs_valid =
            ~stretch:3.0 ~f:0))
 
 let prop_oracle_stretch =
-  QCheck.Test.make ~count:15 ~name:"oracle: query within [exact, (2k-1) exact]"
+  QCheck.Test.make ~long_factor:40 ~count:15 ~name:"oracle: query within [exact, (2k-1) exact]"
     arb_graph_desc (fun desc ->
       let g = weighted_graph_of desc in
       let oracle = Oracle.build (seeded_rng 17) ~k:2 g in
@@ -296,7 +296,7 @@ let prop_oracle_stretch =
       !ok)
 
 let prop_incremental_equals_offline =
-  QCheck.Test.make ~count:20 ~name:"dynamic: stream = offline input order"
+  QCheck.Test.make ~long_factor:40 ~count:20 ~name:"dynamic: stream = offline input order"
     arb_graph_desc (fun desc ->
       let g = graph_of desc in
       let d =
@@ -322,7 +322,7 @@ let prop_incremental_equals_offline =
    so both sides process the same sequence.  Selections live over
    different [Graph.t] values, so we compare canonical endpoint sets. *)
 let prop_incremental_sorted_equals_spanner_build =
-  QCheck.Test.make ~count:12
+  QCheck.Test.make ~long_factor:40 ~count:12
     ~name:"dynamic: sorted stream = Spanner.build on final graph"
     (QCheck.pair arb_graph_desc
        (QCheck.make
@@ -367,7 +367,7 @@ let prop_incremental_sorted_equals_spanner_build =
       canon (Dynamic.snapshot d) = canon offline)
 
 let prop_blocking_certificates =
-  QCheck.Test.make ~count:15 ~name:"blocking: greedy certificates block all short cycles"
+  QCheck.Test.make ~long_factor:40 ~count:15 ~name:"blocking: greedy certificates block all short cycles"
     arb_graph_desc (fun desc ->
       let seed, n, p = desc in
       let g = graph_of (seed, min n 18, p) in
@@ -381,7 +381,7 @@ let prop_blocking_certificates =
       | Error _ -> true (* enumeration limit: inconclusive, not a failure *))
 
 let prop_synchronizer_completes =
-  QCheck.Test.make ~count:10 ~name:"synchronizer: full skeleton always completes"
+  QCheck.Test.make ~long_factor:40 ~count:10 ~name:"synchronizer: full skeleton always completes"
     arb_graph_desc (fun desc ->
       let seed, _, _ = desc in
       let g = graph_of desc in
@@ -391,7 +391,7 @@ let prop_synchronizer_completes =
       rep.Synchronizer.pulses = 4 && rep.Synchronizer.survivors_connected)
 
 let prop_blow_up_counts =
-  QCheck.Test.make ~count:25 ~name:"blow-up: n and m scale by c and c^2"
+  QCheck.Test.make ~long_factor:40 ~count:25 ~name:"blow-up: n and m scale by c and c^2"
     (QCheck.pair arb_graph_desc (QCheck.make QCheck.Gen.(int_range 1 4)))
     (fun (desc, c) ->
       let g = graph_of desc in
@@ -401,7 +401,7 @@ let prop_blow_up_counts =
 let prop_io_parser_total =
   (* The parser must reject garbage with [Failure], never crash with
      anything else, and must re-accept anything it printed. *)
-  QCheck.Test.make ~count:200 ~name:"graph_io: parser is total (Failure or value)"
+  QCheck.Test.make ~long_factor:40 ~count:200 ~name:"graph_io: parser is total (Failure or value)"
     (QCheck.make QCheck.Gen.(string_size ~gen:printable (int_bound 80)))
     (fun s ->
       match Graph_io.of_string s with
@@ -414,7 +414,7 @@ let prop_int32_backend_bit_identical =
      generators produce directly on it) yields bit-identical BFS
      parents, Dijkstra distances, and greedy spanner selections,
      because both backends present half-edges in the same order. *)
-  QCheck.Test.make ~count:40 ~name:"backends: int32 repack is bit-identical"
+  QCheck.Test.make ~long_factor:40 ~count:40 ~name:"backends: int32 repack is bit-identical"
     arb_graph_desc (fun desc ->
       let g = weighted_graph_of desc in
       let g32 = Graph.with_backend Csr.Int32_bigarray g in
@@ -433,7 +433,7 @@ let prop_int32_backend_bit_identical =
       bfs_same && dij_same && greedy_same)
 
 let prop_binio_round_trip =
-  QCheck.Test.make ~count:25 ~name:"graph_binio: save/load is the identity"
+  QCheck.Test.make ~long_factor:40 ~count:25 ~name:"graph_binio: save/load is the identity"
     arb_graph_desc (fun desc ->
       let g = weighted_graph_of desc in
       let file = Filename.temp_file "ftspan_prop" ".ftsb" in
